@@ -122,16 +122,22 @@ def is_fkg(p: Measure) -> AssociationReport:
     return AssociationReport(True, None, {"pairs": checked})
 
 
+def _defined_folds(space: SiteSpace, nums: Sequence[int]):
+    """(spec, folded space, folded weights) for each defined first fold."""
+    for spec in _first_fold_specs(space):
+        try:
+            fspace, fnums = _fold_nums(space, nums, spec)
+        except FoldingUndefined:
+            continue
+        yield spec, fspace, fnums
+
+
 def is_fkg_via_foldings(p: Measure) -> AssociationReport:
     """Equivalent folded form: every defined folding peaks at all-ones."""
     _require_binary(p.space, "the folded lattice condition")
     nums, _ = p.int_weights
     checked = 0
-    for spec in _first_fold_specs(p.space):
-        try:
-            fspace, fnums = _fold_nums(p.space, nums, spec)
-        except FoldingUndefined:
-            continue
+    for spec, fspace, fnums in _defined_folds(p.space, nums):
         checked += 1
         top = max(fnums)
         if fnums[-1] != top:
@@ -250,12 +256,8 @@ def _balanced_indices(m: int) -> list[int]:
     return [i for i in range(1 << m) if i.bit_count() in want]
 
 
-def _nfkg_violation(space: SiteSpace, nums: Sequence[int]) -> dict | None:
-    for spec in _first_fold_specs(space):
-        try:
-            fspace, fnums = _fold_nums(space, nums, spec)
-        except FoldingUndefined:
-            continue
+def _nfkg_violation(folds) -> dict | None:
+    for spec, fspace, fnums in folds:
         top = max(fnums)
         total = sum(fnums)
         for i in _balanced_indices(fspace.n):
@@ -269,14 +271,9 @@ def _nfkg_violation(space: SiteSpace, nums: Sequence[int]) -> dict | None:
     return None
 
 
-def _snfkg_violation(space: SiteSpace, nums: Sequence[int]) -> dict | None:
-    for spec in _first_fold_specs(space):
-        try:
-            fspace, fnums = _fold_nums(space, nums, spec)
-        except FoldingUndefined:
-            continue
-        m = fspace.n
-        balanced = _balanced_indices(m)
+def _snfkg_violation(folds) -> dict | None:
+    for spec, fspace, fnums in folds:
+        balanced = _balanced_indices(fspace.n)
         vals = {fnums[i] for i in balanced}
         total = sum(fnums)
         if len(vals) > 1:
@@ -285,14 +282,13 @@ def _snfkg_violation(space: SiteSpace, nums: Sequence[int]) -> dict | None:
                 "reason": "balanced configurations not equal-valued",
             }
         level = vals.pop()
-        unbalanced = set(range(1 << m)) - set(balanced)
-        for i in sorted(unbalanced):
-            if fnums[i] >= level:
+        for i, w in enumerate(fnums):
+            if w >= level and i not in balanced:
                 return {
                     "fold": describe_path([spec]),
                     "reason": "unbalanced configuration not strictly below",
                     "omega": _config_str(fspace, i),
-                    "value": Fraction(fnums[i], total),
+                    "value": Fraction(w, total),
                     "balanced_value": Fraction(level, total),
                 }
     return None
@@ -302,9 +298,9 @@ def is_nfkg(p: Measure) -> AssociationReport:
     """Balanced configurations are maxima of every defined folding."""
     _require_binary(p.space, "the negative lattice condition")
     nums, _ = p.int_weights
-    witness = _nfkg_violation(p.space, nums)
-    log = {"foldings": sum(1 for _ in _first_fold_specs(p.space))}
-    return AssociationReport(witness is None, witness, log)
+    witness = _nfkg_violation(_defined_folds(p.space, nums))
+    # a binary space has 3^n first folds: each site is conditioned to 0 or 1, or kept
+    return AssociationReport(witness is None, witness, {"foldings": 3 ** p.space.n})
 
 
 def is_snfkg(p: Measure, check_closure: bool = True) -> AssociationReport:
@@ -317,19 +313,16 @@ def is_snfkg(p: Measure, check_closure: bool = True) -> AssociationReport:
     """
     _require_binary(p.space, "the strict negative lattice condition")
     nums, _ = p.int_weights
-    witness = _snfkg_violation(p.space, nums)
-    log = {"foldings": sum(1 for _ in _first_fold_specs(p.space))}
+    folds = list(_defined_folds(p.space, nums))
+    witness = _snfkg_violation(folds)
+    log = {"foldings": 3 ** p.space.n}
     if witness is not None:
         return AssociationReport(False, witness, log)
     if check_closure:
-        if _nfkg_violation(p.space, nums) is not None:
+        if _nfkg_violation(folds) is not None:
             raise RcfoldError("strict condition without the weak one")
-        for spec in _first_fold_specs(p.space):
-            try:
-                fspace, fnums = _fold_nums(p.space, nums, spec)
-            except FoldingUndefined:
-                continue
-            if _snfkg_violation(fspace, fnums) is not None:
+        for _, fspace, fnums in folds:
+            if _snfkg_violation(_defined_folds(fspace, fnums)) is not None:
                 raise RcfoldError("strict condition not preserved by a folding")
     return AssociationReport(True, None, log)
 
@@ -476,7 +469,8 @@ def disagreement_count(omega: Config) -> int:
 
 
 def perturb(p: Measure, eps: Fraction | int) -> Measure:
-    """Tilt each weight by (1 + eps) per disagreeing site pair.
+    """Tilt each weight by (1 + eps) per disagreeing site pair, k (n - k) of
+    them at k ones.
 
     The tilt is maximal exactly on balanced configurations, so it turns
     any measure satisfying the weak negative condition into one satisfying
@@ -487,8 +481,9 @@ def perturb(p: Measure, eps: Fraction | int) -> Measure:
     if eps <= 0:
         raise InvalidParams("the tilt parameter must be positive")
     factor = 1 + eps
+    n = p.space.n
     raw = [
-        w * factor ** disagreement_count(p.space.config_at(i))
+        w * factor ** (i.bit_count() * (n - i.bit_count()))
         for i, w in enumerate(p.weights)
     ]
     return normalize(p.space, raw)

@@ -1,16 +1,28 @@
 """Seeded measure generators for suites and the CLI.
 
 Random measures draw independent integer weights uniformly from 1..64 and
-normalize. The conditioned generators reject until their predicate holds
-or the retry budget runs out, then fall back to a family known to satisfy
-it (product measures, or a balanced mixture on up to three sites); the
-fallback is re-verified, so a generator never returns a measure violating
-its own contract. Everything is deterministic in the seed.
+normalize. The conditioned generators construct members of their class
+exactly, in two families:
+
+- lattice condition: log-supermodular integer weights, which satisfy it
+  by the theorem of Fortuin, Kasteleyn and Ginibre (1971) that positive
+  weights satisfy the lattice condition exactly when they are
+  log-supermodular;
+- weak negative condition: pointwise products of full-support members
+  (product measures, exchangeable measures with log-concave levels, the
+  disagreement tilt). Every folded value is a product of two weights, so
+  for full-support measures the weak and strict negative conditions are
+  closed under pointwise products, strict times weak giving strict.
+
+Each result is re-checked against its contract; a failure raises
+RcfoldError, since it means a library bug. Everything is deterministic in
+the seed.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .association import (
@@ -21,9 +33,8 @@ from .association import (
 )
 from .errors import InvalidParams, RcfoldError
 from .measures import Event, Measure, SiteSpace, normalize
-from .rcr import IsingSpec, complete_pairing_base, induced_measure
+from .rcr import IsingSpec
 
-RETRY_BUDGET = 10**5
 WEIGHT_TOP = 64
 
 
@@ -51,102 +62,58 @@ def random_product_measure(n: int, rng: random.Random) -> Measure:
     return Measure(space, tuple(weights))
 
 
-def _fkg_quick_reject(nums: Sequence[int], n: int) -> bool:
-    """Cheap necessary condition: scan pairs, bail on first violation."""
-    size = 1 << n
-    for i in range(size):
-        for j in range(i + 1, size):
-            jo = i | j
-            if jo == i or jo == j:
-                continue
-            if nums[jo] * nums[i & j] < nums[i] * nums[j]:
-                return True
-    return False
+def random_fkg_measure(n: int, seed: int) -> Measure:
+    """A log-supermodular measure: w(omega) = prod over S within omega of a_S.
 
-
-def _draw_weights(rng: random.Random, size: int) -> list[int]:
-    bits = rng.getrandbits(6 * size)
-    return [(bits >> (6 * k) & 63) + 1 for k in range(size)]
-
-
-def random_fkg_measure(n: int, seed: int, budget: int = RETRY_BUDGET) -> Measure:
-    """Rejection-sample a measure satisfying the lattice condition.
-
-    Falls back to a random product measure (which satisfies it with
-    equality) when the budget runs out; rejection at four sites and above
-    almost always ends there.
+    a_S is drawn from 1..4 on single sites and from 1..3 on larger sets, one
+    of which is forced up to 2 or 3 when n >= 2, so the measure is never a
+    product.
     """
     rng = random.Random(seed)
     space = binary_space(n)
     size = space.size
-    for _ in range(budget):
-        nums = _draw_weights(rng, size)
-        if _fkg_quick_reject(nums, n):
-            continue
-        m = normalize(space, nums)
-        if is_fkg(m).verdict:
-            return m
-    fallback = random_product_measure(n, rng)
-    if not is_fkg(fallback).verdict:
-        raise RcfoldError("fallback product measure fails the lattice condition")
-    return fallback
+    coef = [1] + [rng.randint(1, 4 if s.bit_count() == 1 else 3) for s in range(1, size)]
+    interactions = [s for s in range(size) if s.bit_count() >= 2]
+    if interactions and all(coef[s] == 1 for s in interactions):
+        coef[rng.choice(interactions)] = rng.randint(2, 3)
+    for q in range(n):  # multiplicative zeta transform over subsets
+        bit = 1 << q
+        for i in range(size):
+            if i & bit:
+                coef[i] *= coef[i ^ bit]
+    m = normalize(space, coef)
+    if not is_fkg(m).verdict:
+        raise RcfoldError("log-supermodular weights fail the lattice condition")
+    return m
 
 
-def _balanced_mixture(n: int, rng: random.Random) -> Measure:
-    """Mix the balanced-uniform measure with the uniform one (n <= 3 only,
-    where the mixture is exchangeable with log-concave levels)."""
-    space = binary_space(n)
-    lam = Fraction(rng.randrange(1, 8), 8)
-    balanced = induced_measure(complete_pairing_base(space))
-    uniform = Measure.uniform(space)
-    return Measure(
-        space,
-        tuple(lam * a + (1 - lam) * b for a, b in zip(balanced.weights, uniform.weights)),
-    )
+def random_nfkg_measure(n: int, seed: int) -> Measure:
+    """A full-support measure satisfying the weak negative condition.
 
-
-def _nfkg_quick_reject(nums: Sequence[int], n: int) -> bool:
-    """Necessary condition from the no-conditioning fold: balanced
-    reversal products must be equal and dominate the rest."""
-    size = 1 << n
-    want = {n // 2, (n + 1) // 2}
-    level = None
-    for i in range(size):
-        if i.bit_count() in want:
-            p = nums[i] * nums[size - 1 - i]
-            if level is None:
-                level = p
-            elif p != level:
-                return True
-    for i in range(size):
-        if i.bit_count() not in want and nums[i] * nums[size - 1 - i] > level:
-            return True
-    return False
-
-
-def random_nfkg_measure(n: int, seed: int, budget: int = RETRY_BUDGET) -> Measure:
-    """Rejection-sample a measure satisfying the weak negative condition.
-
-    Falls back to a random product measure or, on up to three sites, a
-    balanced mixture; the fallback is verified before being returned.
+    The weights are the pointwise product of a product measure with margins
+    k/8, an exchangeable measure whose level weights have nonincreasing
+    ratios (log-concave), and the disagreement tilt 2^(k(n-k)) at k ones.
+    The tilt is drawn for about half the seeds, and always when the levels
+    are geometric: it makes the result strict, and at n >= 2 either it or
+    non-geometric levels keep the result from being a product measure.
     """
     rng = random.Random(seed)
     space = binary_space(n)
-    size = space.size
-    for _ in range(budget):
-        nums = _draw_weights(rng, size)
-        if _nfkg_quick_reject(nums, n):
-            continue
-        m = normalize(space, nums)
-        if is_nfkg(m).verdict:
-            return m
-    if n <= 3 and rng.randrange(2):
-        fallback = _balanced_mixture(n, rng)
-    else:
-        fallback = random_product_measure(n, rng)
-    if not is_nfkg(fallback).verdict:
-        raise RcfoldError("fallback measure fails the weak negative condition")
-    return fallback
+    margins = [rng.randint(1, 7) for _ in range(n)]
+    ratios = sorted((rng.randint(1, 8) for _ in range(n)), reverse=True)
+    levels = [4 ** (n - k) * prod(ratios[:k]) for k in range(n + 1)]
+    tilt = 2 if rng.randrange(2) or len(set(ratios)) <= 1 else 1
+    weights = []
+    for i in range(space.size):
+        k = i.bit_count()
+        w = levels[k] * tilt ** (k * (n - k))
+        for j, a in enumerate(margins):
+            w *= a if i >> (n - 1 - j) & 1 else 8 - a
+        weights.append(w)
+    m = normalize(space, weights)
+    if not is_nfkg(m).verdict:
+        raise RcfoldError("product of negative members fails the weak negative condition")
+    return m
 
 
 def uniform_subset_measure(n: int, bit_strings: Sequence[str]) -> Measure:

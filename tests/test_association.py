@@ -219,6 +219,16 @@ class TestPerturb:
         )
         assert is_snfkg(m).verdict
 
+    def test_popcount_tilt_matches_disagreement_count(self):
+        eps = F(1, 8)
+        for n in range(5):
+            m = random_measure(n, 7)
+            raw = [
+                w * (1 + eps) ** disagreement_count(m.space.config_at(i))
+                for i, w in enumerate(m.weights)
+            ]
+            assert perturb(m, eps) == normalize(m.space, raw)
+
     def test_balanced_support_untouched(self):
         m = uniform_01_10()
         assert perturb(m, F(1, 8)) == m

@@ -47,6 +47,14 @@ class TestGen:
         code2, out2 = run_cli(["--seed", "3", "gen", "random_fkg", "--sites", "3"], capsys)
         assert code1 == code2 == 0 and out1 == out2
 
+    def test_random_kinds_pass_their_checks(self, tmp_path, capsys):
+        for kind, sites, predicate in (("random_fkg", "5", "fkg"), ("random_nfkg", "4", "nfkg")):
+            code, out = run_cli(["gen", kind, "--sites", sites], capsys)
+            assert code == 0
+            path = write_json(tmp_path, f"{kind}.json", out)
+            code, out = run_cli(["check", predicate, path], capsys)
+            assert code == 0 and json.loads(out)["verdict"] is True
+
 
 class TestFoldAndLimit:
     def test_fold_file_round_trip(self, tmp_path, capsys):

@@ -17,6 +17,12 @@ from rcfold.rcr import ising_measure
 F = Fraction
 
 
+def is_product(m):
+    """Full-support product measures are exactly the log-modular ones."""
+    w = m.weights
+    return all(w[i] * w[j] == w[i | j] * w[i & j] for i in range(len(w)) for j in range(len(w)))
+
+
 class TestRandomMeasures:
     def test_deterministic_in_seed(self):
         assert random_measure(3, 5) == random_measure(3, 5)
@@ -26,14 +32,29 @@ class TestRandomMeasures:
         for seed in range(40):
             assert is_fkg(random_fkg_measure(3, seed)).verdict
 
-    def test_fkg_generator_n4_falls_back_to_product(self):
-        m = random_fkg_measure(4, 0)
-        assert is_fkg(m).verdict
+    def test_fkg_generator_n4_is_fkg_and_not_product(self):
+        for seed in range(10):
+            m = random_fkg_measure(4, seed)
+            assert is_fkg(m).verdict
+            assert not is_product(m)
+        assert random_fkg_measure(4, 3) == random_fkg_measure(4, 3)
 
     def test_nfkg_generator_contract(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             for seed in range(6):
-                assert is_nfkg(random_nfkg_measure(n, seed)).verdict
+                m = random_nfkg_measure(n, seed)
+                assert is_nfkg(m).verdict
+                assert all(w > 0 for w in m.weights)
+                if n >= 2:
+                    assert not is_product(m)
+        assert random_nfkg_measure(3, 5) == random_nfkg_measure(3, 5)
+        assert random_nfkg_measure(3, 5) != random_nfkg_measure(3, 6)
+
+    def test_conditioned_generators_small_n(self):
+        for gen in (random_fkg_measure, random_nfkg_measure):
+            assert gen(0, 1).weights == (F(1),)
+            m = gen(1, 1)
+            assert m.space.n == 1 and all(w > 0 for w in m.weights)
 
     def test_product_measure_margins(self):
         import random

@@ -31,11 +31,13 @@ from .errors import (
     RcfoldError,
 )
 from .folding import (
+    BRANCH_CAP,
+    BranchLimit,
     FoldPath,
     FoldSpec,
-    FoldingUndefined,
+    _defined_folds,
     _first_fold_specs,
-    _fold_nums,
+    _limit_from_nums,
     iter_essential_branches,
 )
 from .measures import (
@@ -56,8 +58,6 @@ from .rcr import (
     predicates,
     verify_rcr,
 )
-
-BRANCH_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -122,22 +122,12 @@ def is_fkg(p: Measure) -> AssociationReport:
     return AssociationReport(True, None, {"pairs": checked})
 
 
-def _defined_folds(space: SiteSpace, nums: Sequence[int]):
-    """(spec, folded space, folded weights) for each defined first fold."""
-    for spec in _first_fold_specs(space):
-        try:
-            fspace, fnums = _fold_nums(space, nums, spec)
-        except FoldingUndefined:
-            continue
-        yield spec, fspace, fnums
-
-
 def is_fkg_via_foldings(p: Measure) -> AssociationReport:
     """Equivalent folded form: every defined folding peaks at all-ones."""
     _require_binary(p.space, "the folded lattice condition")
     nums, _ = p.int_weights
     checked = 0
-    for spec, fspace, fnums in _defined_folds(p.space, nums):
+    for window, fnums in _defined_folds(p.space, nums, _first_fold_specs(p.space)):
         checked += 1
         top = max(fnums)
         if fnums[-1] != top:
@@ -145,8 +135,8 @@ def is_fkg_via_foldings(p: Measure) -> AssociationReport:
             return AssociationReport(
                 False,
                 {
-                    "fold": describe_path([spec]),
-                    "max_at": _config_str(fspace, best),
+                    "fold": describe_path([window.spec]),
+                    "max_at": _config_str(window.folded_space, best),
                     "value_at_ones": Fraction(fnums[-1], sum(fnums)),
                     "max_value": Fraction(top, sum(fnums)),
                 },
@@ -257,13 +247,14 @@ def _balanced_indices(m: int) -> list[int]:
 
 
 def _nfkg_violation(folds) -> dict | None:
-    for spec, fspace, fnums in folds:
+    for window, fnums in folds:
+        fspace = window.folded_space
         top = max(fnums)
         total = sum(fnums)
         for i in _balanced_indices(fspace.n):
             if fnums[i] != top:
                 return {
-                    "fold": describe_path([spec]),
+                    "fold": describe_path([window.spec]),
                     "balanced": _config_str(fspace, i),
                     "value": Fraction(fnums[i], total),
                     "max_value": Fraction(top, total),
@@ -272,20 +263,21 @@ def _nfkg_violation(folds) -> dict | None:
 
 
 def _snfkg_violation(folds) -> dict | None:
-    for spec, fspace, fnums in folds:
+    for window, fnums in folds:
+        fspace = window.folded_space
         balanced = _balanced_indices(fspace.n)
         vals = {fnums[i] for i in balanced}
         total = sum(fnums)
         if len(vals) > 1:
             return {
-                "fold": describe_path([spec]),
+                "fold": describe_path([window.spec]),
                 "reason": "balanced configurations not equal-valued",
             }
         level = vals.pop()
         for i, w in enumerate(fnums):
             if w >= level and i not in balanced:
                 return {
-                    "fold": describe_path([spec]),
+                    "fold": describe_path([window.spec]),
                     "reason": "unbalanced configuration not strictly below",
                     "omega": _config_str(fspace, i),
                     "value": Fraction(w, total),
@@ -298,7 +290,7 @@ def is_nfkg(p: Measure) -> AssociationReport:
     """Balanced configurations are maxima of every defined folding."""
     _require_binary(p.space, "the negative lattice condition")
     nums, _ = p.int_weights
-    witness = _nfkg_violation(_defined_folds(p.space, nums))
+    witness = _nfkg_violation(_defined_folds(p.space, nums, _first_fold_specs(p.space)))
     # a binary space has 3^n first folds: each site is conditioned to 0 or 1, or kept
     return AssociationReport(witness is None, witness, {"foldings": 3 ** p.space.n})
 
@@ -313,7 +305,7 @@ def is_snfkg(p: Measure, check_closure: bool = True) -> AssociationReport:
     """
     _require_binary(p.space, "the strict negative lattice condition")
     nums, _ = p.int_weights
-    folds = list(_defined_folds(p.space, nums))
+    folds = list(_defined_folds(p.space, nums, _first_fold_specs(p.space)))
     witness = _snfkg_violation(folds)
     log = {"foldings": 3 ** p.space.n}
     if witness is not None:
@@ -321,8 +313,10 @@ def is_snfkg(p: Measure, check_closure: bool = True) -> AssociationReport:
     if check_closure:
         if _nfkg_violation(folds) is not None:
             raise RcfoldError("strict condition without the weak one")
-        for _, fspace, fnums in folds:
-            if _snfkg_violation(_defined_folds(fspace, fnums)) is not None:
+        for window, fnums in folds:
+            fspace = window.folded_space
+            refolds = _defined_folds(fspace, fnums, _first_fold_specs(fspace))
+            if _snfkg_violation(refolds) is not None:
                 raise RcfoldError("strict condition not preserved by a folding")
     return AssociationReport(True, None, log)
 
@@ -346,11 +340,23 @@ class PipelineReport:
         return self.ok
 
 
-def _reduced_key(space: SiteSpace, nums: Sequence[int]):
-    g = 0
-    for w in nums:
-        g = gcd(g, w)
-    return space.sites, tuple(w // g for w in nums)
+def _distinct_limits(p: Measure) -> tuple[int, list[tuple[str, BranchLimit]]]:
+    """Walk every essential branch of p; return the branch count and, for
+    each distinct terminal weight vector up to a common factor, the first
+    branch reaching it and its limit."""
+    branches = 0
+    seen = set()
+    limits = []
+    for path, space, nums in iter_essential_branches(p):
+        branches += 1
+        g = 0
+        for w in nums:
+            g = gcd(g, w)
+        key = space.sites, tuple(w // g for w in nums)
+        if key not in seen:
+            seen.add(key)
+            limits.append((describe_path(path), _limit_from_nums(space, nums, len(path))))
+    return branches, limits
 
 
 def fkg_theorem_pipeline(p: Measure, cap: int = BRANCH_CAP) -> PipelineReport:
@@ -368,23 +374,14 @@ def fkg_theorem_pipeline(p: Measure, cap: int = BRANCH_CAP) -> PipelineReport:
     if not is_fkg(p).verdict:
         raise PreconditionFailed("measure does not satisfy the lattice condition")
 
+    branches, limits = _distinct_limits(p)
     failures: list[BranchFailure] = []
-    branches = 0
-    seen = set()
-    for path, space, nums in iter_essential_branches(p):
-        branches += 1
-        key = _reduced_key(space, nums)
-        if key in seen:
-            continue
-        seen.add(key)
-        name = describe_path(path)
-        top = max(nums)
-        argmax = Event.from_indices(space, (i for i, w in enumerate(nums) if w == top))
-        limit = Measure.uniform_on(argmax)
+    for name, limit in limits:
+        argmax = limit.argmax_set
         if argmax.bar() != argmax:
             failures.append(BranchFailure(name, "symmetric", "limit support not reversal-closed"))
             continue
-        if not is_fkg(limit).verdict:
+        if not is_fkg(limit.measure).verdict:
             failures.append(BranchFailure(name, "lattice", "limit fails the lattice condition"))
             continue
         try:
@@ -396,11 +393,11 @@ def fkg_theorem_pipeline(p: Measure, cap: int = BRANCH_CAP) -> PipelineReport:
         if not (flags.symmetric and flags.ferromagnetic and flags.pairwise):
             failures.append(BranchFailure(name, "predicates", repr(flags)))
             continue
-        if not verify_rcr(limit, base, 0).ok:
+        if not verify_rcr(limit.measure, base, 0).ok:
             failures.append(BranchFailure(name, "represent", "base does not reproduce the limit"))
     final = is_pa(p)
     ok = not failures and final.verdict
-    return PipelineReport(ok, branches, len(seen), tuple(failures), final)
+    return PipelineReport(ok, branches, len(limits), tuple(failures), final)
 
 
 @lru_cache(maxsize=None)
@@ -424,21 +421,11 @@ def snfkg_limit_rcr(p: Measure, cap: int = BRANCH_CAP) -> PipelineReport:
     if not is_snfkg(p).verdict:
         raise PreconditionFailed("measure does not satisfy the strict negative condition")
 
+    branches, limits = _distinct_limits(p)
     failures: list[BranchFailure] = []
-    branches = 0
-    seen = set()
-    for path, space, nums in iter_essential_branches(p):
-        branches += 1
-        key = _reduced_key(space, nums)
-        if key in seen:
-            continue
-        seen.add(key)
-        name = describe_path(path)
-        top = max(nums)
-        argmax = Event.from_indices(space, (i for i, w in enumerate(nums) if w == top))
-        limit = Measure.uniform_on(argmax)
-        base, pairing_measure, flags = _pairing_data(space)
-        if limit != pairing_measure:
+    for name, limit in limits:
+        base, pairing_measure, flags = _pairing_data(limit.space)
+        if limit.measure != pairing_measure:
             failures.append(
                 BranchFailure(name, "pairing", "limit differs from the pairing measure")
             )
@@ -452,7 +439,7 @@ def snfkg_limit_rcr(p: Measure, cap: int = BRANCH_CAP) -> PipelineReport:
             failures.append(BranchFailure(name, "predicates", repr(flags)))
     final = is_na(p)
     ok = not failures and final.verdict
-    return PipelineReport(ok, branches, len(seen), tuple(failures), final)
+    return PipelineReport(ok, branches, len(limits), tuple(failures), final)
 
 
 def disagreement_count(omega: Config) -> int:

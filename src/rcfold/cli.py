@@ -5,9 +5,11 @@ Subcommands mirror the library: ``gen`` writes measure files, ``fold`` and
 cluster bases, ``occurrence`` runs box operations and the two occurrence
 bounds, ``check`` and ``pipeline`` run the association machinery, and
 ``suite`` runs a named reproducible batch. Exit status is 0 when the
-requested verdict holds and 1 otherwise. Flags fall back to RCFOLD_*
-environment variables (RCFOLD_SEED, RCFOLD_JOBS, RCFOLD_OUT,
-RCFOLD_CAP_SITES).
+requested verdict holds, 1 when it fails, and 2 on a usage error, which
+includes an input file that cannot be opened or parsed. Flags fall back to
+RCFOLD_* environment variables (RCFOLD_SEED, RCFOLD_JOBS, RCFOLD_OUT,
+RCFOLD_CAP_SITES). ``--cap-sites`` caps the site count of ``check pa`` and
+``check na`` only.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .association import (
     levels_from_measure,
     snfkg_limit_rcr,
 )
-from .errors import RcfoldError
+from .errors import InvalidParams, RcfoldError
 from .folding import branch_limit, fold_path
 from .generators import (
     exchangeable_measure,
@@ -71,9 +73,19 @@ def _env_str(name: str) -> str | None:
     return os.environ.get(name) or None
 
 
-def _load(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _read(path: str, parse, *args):
+    """Parse a JSON input file with ``parse``.
+
+    A file that cannot be opened, is not JSON, or lacks a key or has a value
+    of the wrong type is a usage error, like any other invalid input.
+    """
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh), *args)
+    except RcfoldError:
+        raise
+    except (OSError, LookupError, AttributeError, TypeError, ValueError) as exc:
+        raise InvalidParams(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _emit(obj, out: str | None) -> None:
@@ -120,33 +132,33 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_fold(args) -> int:
-    measure = measure_from_json(_load(args.measure))
-    path = path_from_json(_load(args.path))
+    measure = _read(args.measure, measure_from_json)
+    path = _read(args.path, path_from_json)
     _emit(measure_to_json(fold_path(measure, path)), args.out)
     return 0
 
 
 def _cmd_limit(args) -> int:
-    measure = measure_from_json(_load(args.measure))
-    path = path_from_json(_load(args.path))
+    measure = _read(args.measure, measure_from_json)
+    path = _read(args.path, path_from_json)
     _emit(limit_to_json(branch_limit(measure, path)), args.out)
     return 0
 
 
 def _cmd_rcr(args) -> int:
     if args.rcr_cmd == "verify":
-        measure = measure_from_json(_load(args.measure))
-        base = base_from_json(_load(args.base))
+        measure = _read(args.measure, measure_from_json)
+        base = _read(args.base, base_from_json)
         check = verify_rcr(measure, base, as_fraction(args.eps))
         _emit({"max_dev": check.max_dev, "ok": check.ok}, args.out)
         return 0 if check.ok else 1
     if args.rcr_cmd == "construct":
-        event = event_from_json(_load(args.event))
+        event = _read(args.event, event_from_json)
         base = construct_uniform_symmetric_rcr(event)
         _emit(base_to_json(base), args.out)
         return 0
     if args.rcr_cmd == "ising":
-        spec = ising_from_json(_load(args.spec))
+        spec = _read(args.spec, ising_from_json)
         build = ising_build(spec)
         _emit(
             {
@@ -161,26 +173,26 @@ def _cmd_rcr(args) -> int:
 
 
 def _cmd_occurrence(args) -> int:
-    measure = measure_from_json(_load(args.measure)) if args.measure else None
+    measure = _read(args.measure, measure_from_json) if args.measure else None
     if args.occ_cmd == "box":
         space = measure.space if measure else None
-        a = event_from_json(_load(args.a), space)
-        b = event_from_json(_load(args.b), a.space)
+        a = _read(args.a, event_from_json, space)
+        b = _read(args.b, event_from_json, a.space)
         boxed = box_with_rule(a, b, rule_by_name(args.rule))
         _emit(event_to_json(boxed), args.out)
         return 0
     if args.occ_cmd == "check-232":
-        base = base_from_json(_load(args.base))
-        a = event_from_json(_load(args.a), measure.space)
-        b = event_from_json(_load(args.b), measure.space)
+        base = _read(args.base, base_from_json)
+        a = _read(args.a, event_from_json, measure.space)
+        b = _read(args.b, event_from_json, measure.space)
         rep = check_disjoint_cluster_bound(
             measure, base, rule_by_name(args.rule), a, b, as_fraction(args.eps)
         )
         _emit(jsonable(rep), args.out)
         return 0 if rep.ok else 1
     if args.occ_cmd == "check-233":
-        a = event_from_json(_load(args.a), measure.space)
-        b = event_from_json(_load(args.b), measure.space)
+        a = _read(args.a, event_from_json, measure.space)
+        b = _read(args.b, event_from_json, measure.space)
         rep = check_folding_hypothesis_bound(
             measure, rule_by_name(args.rule), a, b, as_fraction(args.eps)
         )
@@ -199,7 +211,7 @@ _CHECKS = {
 
 
 def _cmd_check(args) -> int:
-    measure = measure_from_json(_load(args.measure))
+    measure = _read(args.measure, measure_from_json)
     if args.predicate == "ulc":
         levels = levels_from_measure(measure)
         verdict = levels is not None and is_ulc(levels)
@@ -224,7 +236,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    measure = measure_from_json(_load(args.measure))
+    measure = _read(args.measure, measure_from_json)
     if args.pipeline == "fkg-theorem":
         rep = fkg_theorem_pipeline(measure)
     else:
@@ -238,8 +250,6 @@ def _cmd_suite(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
         instances=args.instances,
-        max_sites=args.cap_sites,
-        out=args.out,
         only=args.only,
     )
     report = run_suite(args.name, cfg)

@@ -13,16 +13,32 @@ measures are always binary, and they are symmetric under global reversal by
 construction. A step with K empty squares the weights of a symmetric
 measure; iterating it drives the measure to the uniform distribution on its
 maxima, with a super-exponential sup-norm convergence bound.
+
+Every step is carried out on integer configuration indices through one
+table, ``FoldWindow.lift``: the full-space index of each folded
+configuration. Because reversal complements the folded bits, the reversed
+configuration of folded index f lifts to ``lift[-1 - f]``, so a fold is
+``nums[lift[f]] * nums[lift[-1 - f]]`` per f. Slicing an event, lifting a
+configuration and extending a folded event back over the conditioned sites
+all read the same table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, FoldingUndefined, InvalidParams
-from .measures import Config, Event, Measure, SiteSpace, normalize, sup_distance
+from .measures import (
+    Config,
+    Event,
+    Measure,
+    SiteSpace,
+    _cylinder_mask,
+    normalize,
+    sup_distance,
+)
 
 BRANCH_CAP = 4
 
@@ -101,139 +117,131 @@ class BranchLimit:
     ratio: Fraction
 
 
-def _resolve_spec(space: SiteSpace, spec: FoldSpec):
-    """Validate a spec against a space; return positional fold data.
-
-    Returns (k_positions, alpha_value_indices, co_positions, pairs) where
-    pairs[j] = (low_index, high_index) are the two retained alphabet indices
-    at the j-th remaining site, in inherited alphabet order.
-    """
-    pos = space.site_pos
-    for s in spec.k_sites:
-        if s not in pos:
-            raise InvalidParams(f"site {s!r} not in space")
-    order = sorted(range(len(spec.k_sites)), key=lambda i: pos[spec.k_sites[i]])
-    k_positions = tuple(pos[spec.k_sites[i]] for i in order)
-    alpha_idx = []
-    for i in order:
-        alph = space.alphabets[pos[spec.k_sites[i]]]
-        sym = spec.alpha[i]
-        if sym not in alph:
-            raise InvalidParams(f"alpha symbol {sym!r} not in alphabet at {spec.k_sites[i]!r}")
-        alpha_idx.append(alph.index(sym))
-    k_set = set(k_positions)
-    co_positions = tuple(p for p in range(space.n) if p not in k_set)
-
-    if spec.beta is None:
-        pairs = []
-        for p in co_positions:
-            if space.radices[p] != 2:
-                raise InvalidParams("beta may be omitted on binary alphabets only")
-            pairs.append((0, 1))
-        return k_positions, tuple(alpha_idx), co_positions, tuple(pairs)
-
-    b1, b2 = spec.beta
-    if len(b1) != len(co_positions) or len(b2) != len(co_positions):
-        raise InvalidParams("beta rows must cover exactly the remaining sites")
-    pairs = []
-    for j, p in enumerate(co_positions):
-        alph = space.alphabets[p]
-        if b1[j] not in alph or b2[j] not in alph:
-            raise InvalidParams("beta symbol outside the site's alphabet")
-        x, y = alph.index(b1[j]), alph.index(b2[j])
-        if x == y:
-            raise InvalidParams("beta components must be pointwise distinct")
-        pairs.append((min(x, y), max(x, y)))
-    return k_positions, tuple(alpha_idx), co_positions, tuple(pairs)
-
-
 @dataclass(frozen=True)
 class FoldWindow:
-    """A fold spec resolved against a concrete space, with lifting helpers.
+    """A fold spec resolved against a concrete space: the fold's index map.
 
-    ``lift`` maps a folded configuration back to the full-space
-    configuration it came from (alpha on the conditioned sites, the
-    matching beta symbol elsewhere).
+    ``lift[f]`` is the full-space index of folded configuration ``f``: alpha
+    on the conditioned sites and, at the j-th surviving site, the low or the
+    high beta symbol as bit j of ``f`` (first surviving site most
+    significant) is 0 or 1. Reversal swaps every surviving coordinate
+    between its two beta symbols, which complements every bit of ``f``; on
+    m bits that is ``2**m - 1 - f``, so the reversed configuration lifts to
+    ``lift[-1 - f]``. ``co_mask`` has bit p set for each surviving position
+    p of the full space.
     """
 
     space: SiteSpace
     spec: FoldSpec
     folded_space: SiteSpace
-    k_positions: tuple[int, ...]
-    alpha_idx: tuple[int, ...]
-    co_positions: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
+    co_mask: int
+    lift: tuple[int, ...]
 
-    def lift_values(self, folded_values: Sequence[int]) -> tuple[int, ...]:
-        out = [0] * self.space.n
-        for p, v in zip(self.k_positions, self.alpha_idx):
-            out[p] = v
-        for p, pair, bit in zip(self.co_positions, self.pairs, folded_values):
-            out[p] = pair[bit]
-        return tuple(out)
+    @classmethod
+    def resolve(cls, space: SiteSpace, spec: FoldSpec) -> "FoldWindow":
+        """Validate a spec against a space and build its lift table."""
+        pos = space.site_pos
+        for s in spec.k_sites:
+            if s not in pos:
+                raise InvalidParams(f"site {s!r} not in space")
+        base = 0
+        for site, sym in sorted(zip(spec.k_sites, spec.alpha), key=lambda t: pos[t[0]]):
+            alph = space.alphabets[pos[site]]
+            if sym not in alph:
+                raise InvalidParams(f"alpha symbol {sym!r} not in alphabet at {site!r}")
+            base += space.index_weights[pos[site]] * alph.index(sym)
+        k_set = {pos[s] for s in spec.k_sites}
+        co_positions = [p for p in range(space.n) if p not in k_set]
+
+        if spec.beta is None:
+            if any(space.radices[p] != 2 for p in co_positions):
+                raise InvalidParams("beta may be omitted on binary alphabets only")
+            pairs = [(0, 1)] * len(co_positions)
+        else:
+            b1, b2 = spec.beta
+            if len(b1) != len(co_positions) or len(b2) != len(co_positions):
+                raise InvalidParams("beta rows must cover exactly the remaining sites")
+            pairs = []
+            for p, x, y in zip(co_positions, b1, b2):
+                alph = space.alphabets[p]
+                if x not in alph or y not in alph:
+                    raise InvalidParams("beta symbol outside the site's alphabet")
+                x, y = alph.index(x), alph.index(y)
+                if x == y:
+                    raise InvalidParams("beta components must be pointwise distinct")
+                pairs.append((min(x, y), max(x, y)))
+
+        # place-value doubling: each surviving site appends one low-order bit
+        lift = [base]
+        for p, (lo, hi) in zip(co_positions, pairs):
+            w = space.index_weights[p]
+            lift = [i + v for i in lift for v in (w * lo, w * hi)]
+        folded_space = SiteSpace(
+            tuple(space.sites[p] for p in co_positions), ((0, 1),) * len(co_positions)
+        )
+        co_mask = sum(1 << p for p in co_positions)
+        return cls(space, spec, folded_space, co_mask, tuple(lift))
+
+    def fold(self, nums: Sequence[int]) -> list[int]:
+        """Folded integer weights; raises FoldingUndefined on zero mass."""
+        lift = self.lift
+        out = [nums[lift[f]] * nums[lift[-1 - f]] for f in range(len(lift))]
+        if not any(out):
+            raise FoldingUndefined(f"fold {self.spec} has zero total mass")
+        return out
 
     def lift_config(self, folded: Config) -> Config:
-        return Config(self.space, self.lift_values(folded.values))
-
-    def lift_index(self, folded_index: int) -> int:
-        return self.space.config_index(self.lift_values(self.folded_space.values_at(folded_index)))
-
-    def lift_event(self, folded_event: Event) -> Event:
-        return Event.from_indices(self.space, (self.lift_index(i) for i in folded_event.indices()))
+        return self.space.config_at(self.lift[folded.index])
 
     def slice_event(self, full_event: Event) -> Event:
         """Folded configurations whose lift lies in the full-space event."""
+        mask = full_event.mask
         return Event.from_indices(
-            self.folded_space,
-            (
-                i
-                for i in range(self.folded_space.size)
-                if full_event.contains_index(self.lift_index(i))
-            ),
+            self.folded_space, (f for f, i in enumerate(self.lift) if mask >> i & 1)
         )
+
+    def extend_event(self, folded_event: Event) -> Event:
+        """Full-space configurations that agree, on the surviving sites, with
+        the lift of a member of the folded event.
+
+        The conditioned sites run free; a configuration carrying a symbol
+        outside the beta pair at a surviving site lifts no folded
+        configuration and is left out.
+        """
+        mask = 0
+        for f in folded_event.indices():
+            mask |= _cylinder_mask(self.space, self.lift[f], self.co_mask)
+        return Event(self.space, mask)
 
 
 def fold_window(space: SiteSpace, spec: FoldSpec) -> FoldWindow:
-    k_positions, alpha_idx, co_positions, pairs = _resolve_spec(space, spec)
-    folded_space = SiteSpace(
-        tuple(space.sites[p] for p in co_positions), tuple((0, 1) for _ in co_positions)
-    )
-    return FoldWindow(space, spec, folded_space, k_positions, alpha_idx, co_positions, pairs)
+    """Resolve a fold spec against a space (see ``FoldWindow``)."""
+    return FoldWindow.resolve(space, spec)
 
 
-def _fold_nums(space: SiteSpace, nums: Sequence[int], spec: FoldSpec):
-    """Integer-weight folding engine; raises FoldingUndefined on zero mass."""
-    k_positions, alpha_idx, co_positions, pairs = _resolve_spec(space, spec)
-    weights = space.index_weights
-    base = sum(weights[p] * v for p, v in zip(k_positions, alpha_idx))
-    # contribution of folded bit j at its original site, per bit value
-    tbl = [
-        (weights[p] * lo, weights[p] * hi)
-        for p, (lo, hi) in zip(co_positions, pairs)
-    ]
-    m = len(co_positions)
-    out = []
-    for folded in range(1 << m):
-        fwd = base
-        rev = base
-        for j in range(m):
-            bit = folded >> (m - 1 - j) & 1
-            fwd += tbl[j][bit]
-            rev += tbl[j][1 - bit]
-        out.append(nums[fwd] * nums[rev])
-    if not any(out):
-        raise FoldingUndefined(f"fold {spec} has zero total mass")
-    folded_space = SiteSpace(
-        tuple(space.sites[p] for p in co_positions), tuple((0, 1) for _ in co_positions)
-    )
-    return folded_space, out
+def _defined_folds(space: SiteSpace, nums: Sequence[int], specs: Iterable[FoldSpec]):
+    """(window, folded weights) for each spec whose fold is defined."""
+    for spec in specs:
+        window = FoldWindow.resolve(space, spec)
+        try:
+            folded = window.fold(nums)
+        except FoldingUndefined:
+            continue
+        yield window, folded
+
+
+def _fold_prefix(space: SiteSpace, nums: Sequence[int], steps: Iterable[FoldSpec]):
+    """Integer weights after folding by each step in turn, with their space."""
+    for spec in steps:
+        window = FoldWindow.resolve(space, spec)
+        space, nums = window.folded_space, window.fold(nums)
+    return space, nums
 
 
 def fold(p: Measure, spec: FoldSpec) -> Measure:
     """Apply one folding step; the result is binary and reversal-symmetric."""
-    nums, _ = p.int_weights
-    folded_space, out = _fold_nums(p.space, nums, spec)
-    return normalize(folded_space, out)
+    window = FoldWindow.resolve(p.space, spec)
+    return normalize(window.folded_space, window.fold(p.int_weights[0]))
 
 
 def fold_path(p: Measure, path: FoldPath | Sequence[FoldSpec]) -> Measure:
@@ -241,11 +249,7 @@ def fold_path(p: Measure, path: FoldPath | Sequence[FoldSpec]) -> Measure:
     steps = tuple(path)
     if not steps:
         return p
-    space = p.space
-    nums, _ = p.int_weights
-    for spec in steps:
-        space, nums = _fold_nums(space, nums, spec)
-    return normalize(space, nums)
+    return normalize(*_fold_prefix(p.space, p.int_weights[0], steps))
 
 
 def essentialize(path: FoldPath | Sequence[FoldSpec]) -> FoldPath:
@@ -279,10 +283,7 @@ def branch_limit(p: Measure, essential_prefix: FoldPath | Sequence[FoldSpec]) ->
     (step 1), so emitted_at = max(len(prefix), 1).
     """
     steps = tuple(essential_prefix)
-    space = p.space
-    nums, _ = p.int_weights
-    for spec in steps:
-        space, nums = _fold_nums(space, nums, spec)
+    space, nums = _fold_prefix(p.space, p.int_weights[0], steps)
     return _limit_from_nums(space, nums, max(len(steps), 1))
 
 
@@ -307,15 +308,9 @@ def check_convergence_bound(
     ell = max(len(steps), 1)
     if i <= ell:
         raise InvalidParams(f"iterate index {i} must exceed the prefix length {ell}")
-    space = p.space
-    nums, _ = p.int_weights
-    for spec in steps:
-        space, nums = _fold_nums(space, nums, spec)
+    space, nums = _fold_prefix(p.space, p.int_weights[0], steps)
     limit = _limit_from_nums(space, nums, ell)
-    empty_step = FoldSpec((), ())
-    for _ in range(i - ell):
-        space, nums = _fold_nums(space, nums, empty_step)
-    iterate = normalize(space, nums)
+    iterate = normalize(*_fold_prefix(space, nums, [FoldSpec((), ())] * (i - ell)))
     distance = sup_distance(iterate, limit.measure)
     bound = p.space.size * limit.ratio ** (2 ** (i - ell))
     return ConvergenceCheck(distance, bound, distance <= bound)
@@ -366,27 +361,17 @@ def iter_essential_branches(
         max_len = p.space.n + 1
     if max_len <= 0:
         return
-    nums, _ = p.int_weights
 
-    def descend(space, nums, path, depth):
-        for spec in _extension_specs(space):
-            try:
-                sub_space, sub_nums = _fold_nums(space, nums, spec)
-            except FoldingUndefined:
-                continue
-            sub_path = path + (spec,)
+    def descend(space, nums, path, specs, depth):
+        for window, sub_nums in _defined_folds(space, nums, specs):
+            sub_space, sub_path = window.folded_space, path + (window.spec,)
             yield FoldPath(sub_path), sub_space, tuple(sub_nums)
-            if depth + 1 < max_len:
-                yield from descend(sub_space, sub_nums, sub_path, depth + 1)
+            if depth < max_len:
+                yield from descend(
+                    sub_space, sub_nums, sub_path, _extension_specs(sub_space), depth + 1
+                )
 
-    for first in _first_fold_specs(p.space):
-        try:
-            space, out = _fold_nums(p.space, nums, first)
-        except FoldingUndefined:
-            continue
-        yield FoldPath((first,)), space, tuple(out)
-        if max_len > 1:
-            yield from descend(space, out, (first,), 1)
+    yield from descend(p.space, p.int_weights[0], (), _first_fold_specs(p.space), 1)
 
 
 def enumerate_essential_prefixes(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -357,13 +357,22 @@ def cylinder(omega: Config, region: Iterable) -> Event:
     unknown = region - set(space.sites)
     if unknown:
         raise InvalidParams(f"unknown sites: {sorted(unknown, key=repr)}")
-    fixed = [(p, omega.values[p]) for p, s in enumerate(space.sites) if s in region]
+    kmask = sum(1 << p for p, s in enumerate(space.sites) if s in region)
+    return Event(space, _cylinder_mask(space, omega.index, kmask))
 
-    def match(i: int) -> bool:
-        vals = space.values_at(i)
-        return all(vals[p] == v for p, v in fixed)
 
-    return Event.from_indices(space, (i for i in range(space.size) if match(i)))
+@lru_cache(maxsize=None)
+def _cylinder_mask(space: SiteSpace, index: int, kmask: int) -> int:
+    """Bitmask of configurations agreeing with configuration ``index`` on
+    the sites whose positions are set in ``kmask``."""
+    positions = [p for p in range(space.n) if kmask >> p & 1]
+    ref = space.values_at(index)
+    out = 0
+    for j in range(space.size):
+        vals = space.values_at(j)
+        if all(vals[p] == ref[p] for p in positions):
+            out |= 1 << j
+    return out
 
 
 def enumerate_upsets(space: SiteSpace, cap: int = UPSET_CAP) -> tuple[Event, ...]:

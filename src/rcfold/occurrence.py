@@ -15,29 +15,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 from .errors import NonBinaryAlphabet, PreconditionFailed, SpaceMismatch
-from .folding import FoldSpec, FoldingUndefined, _first_fold_specs, fold, fold_window
-from .measures import Config, Event, Measure, SiteSpace, as_fraction, weight_summer
-from .rcr import RcrBase, clusters, predicates, verify_rcr
+from .folding import FoldSpec, FoldWindow, _defined_folds, _first_fold_specs, fold_window
+from .measures import (
+    Config,
+    Event,
+    Measure,
+    SiteSpace,
+    _cylinder_mask,
+    as_fraction,
+    normalize,
+    weight_summer,
+)
+from .rcr import RcrBase, _compatible_index, clusters, predicates, verify_rcr
 
 Pair = tuple[frozenset, frozenset]
-
-
-@lru_cache(maxsize=None)
-def _cylinder_mask(space: SiteSpace, index: int, kmask: int) -> int:
-    """Bitmask of configurations agreeing with configuration ``index`` on
-    the sites whose positions are set in ``kmask``."""
-    positions = [p for p in range(space.n) if kmask >> p & 1]
-    ref = space.values_at(index)
-    out = 0
-    for j in range(space.size):
-        vals = space.values_at(j)
-        if all(vals[p] == ref[p] for p in positions):
-            out |= 1 << j
-    return out
 
 
 def _witness_kmasks(event: Event, index: int) -> list[int]:
@@ -236,34 +230,6 @@ def event_slice(space: SiteSpace, spec: FoldSpec, event: Event) -> Event:
     return fold_window(space, spec).slice_event(event)
 
 
-def _extend_over_conditioned(window, folded_event: Event) -> Event:
-    """Full-space event whose members restrict, through the beta labels,
-    to a member of the folded event; the conditioned sites run free.
-
-    Configurations carrying a symbol outside the beta pair at a surviving
-    site are excluded (they lift no folded configuration).
-    """
-    space = window.space
-    members = folded_event.mask
-    out = []
-    for i in range(space.size):
-        vals = space.values_at(i)
-        bits = 0
-        ok = True
-        for p, pair in zip(window.co_positions, window.pairs):
-            v = vals[p]
-            if v == pair[0]:
-                bits = bits * 2
-            elif v == pair[1]:
-                bits = bits * 2 + 1
-            else:
-                ok = False
-                break
-        if ok and members >> bits & 1:
-            out.append(i)
-    return Event.from_indices(space, out)
-
-
 def induced_rule(rule: SelectionRule, space: SiteSpace, spec: FoldSpec) -> SelectionRule:
     """Push a selection rule through a folding step.
 
@@ -275,16 +241,23 @@ def induced_rule(rule: SelectionRule, space: SiteSpace, spec: FoldSpec) -> Selec
     full rule of the smaller space, and the slice of a box is always
     contained in the box of the slices.
     """
-    window = fold_window(space, spec)
+    return _pushed_rule(rule, fold_window(space, spec))
+
+
+def _pushed_rule(rule: SelectionRule, window: FoldWindow) -> SelectionRule:
     co_sites = frozenset(window.folded_space.sites)
+    # a box asks the rule about every configuration for one event pair, so
+    # the pair's extensions are kept until the next pair arrives
+    pair = extended = None
 
     def selector(a: Event, b: Event, omega: Config) -> frozenset:
-        lifted_a = _extend_over_conditioned(window, a)
-        lifted_b = _extend_over_conditioned(window, b)
-        lifted_w = window.lift_config(omega)
+        nonlocal pair, extended
+        if (a, b) != pair:
+            pair, extended = (a, b), (window.extend_event(a), window.extend_event(b))
+        lifted_a, lifted_b = extended
         return frozenset(
             (k & co_sites, l & co_sites)
-            for k, l in rule.select(lifted_a, lifted_b, lifted_w)
+            for k, l in rule.select(lifted_a, lifted_b, window.lift_config(omega))
         )
 
     return SelectionRule(f"{rule.name}@fold", selector)
@@ -336,7 +309,7 @@ def check_disjoint_cluster_bound(
     for eta, _ in base.atoms:
         comps = [c for c in clusters(eta) if len(c) > 1]
         for omega, pairs in zip(boxed_configs, kept_pairs):
-            if not _compatible_config(eta, omega):
+            if not _compatible_index(eta, omega.values):
                 continue
             if not any(
                 all(not (c & k and c & l) for c in comps) for k, l in pairs
@@ -352,14 +325,6 @@ def check_disjoint_cluster_bound(
     slack = eps * (1 << (p.space.n + 1))
     ok = check.ok and lhs <= rhs + slack
     return DisjointClusterReport(lhs, rhs, slack, check.max_dev, check.ok, ok)
-
-
-def _compatible_config(eta, omega: Config) -> bool:
-    vals = omega.values
-    for positions, state in zip(eta.structure.bond_positions, eta.states):
-        if tuple(vals[p] for p in positions) not in state:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -397,20 +362,17 @@ def check_folding_hypothesis_bound(
 
     failures = []
     checked = 0
-    for spec in _first_fold_specs(p.space):
-        try:
-            folded = fold(p, spec)
-        except FoldingUndefined:
-            continue
+    folds = _defined_folds(p.space, p.int_weights[0], _first_fold_specs(p.space))
+    for window, fnums in folds:
         checked += 1
-        window = fold_window(p.space, spec)
+        folded = normalize(window.folded_space, fnums)
         a_slice = window.slice_event(a)
         b_slice = window.slice_event(b)
-        pushed = induced_rule(rule, p.space, spec)
+        pushed = _pushed_rule(rule, window)
         lhs_f = folded.prob(box_with_rule(a_slice, b_slice, pushed))
         rhs_f = folded.prob(a_slice & b_slice.bar())
         if lhs_f > rhs_f + eps:
-            failures.append(spec)
+            failures.append(window.spec)
 
     lhs = p.prob(box_with_rule(a, b, rule))
     rhs = p.prob(a) * p.prob(b)

@@ -133,11 +133,7 @@ def compatible(eta: BondStateAssignment, omega: Config) -> bool:
     """True iff omega restricted to every bond lies in that bond's state."""
     if eta.structure.space != omega.space:
         raise SpaceMismatch("assignment and configuration on different spaces")
-    vals = omega.values
-    for positions, state in zip(eta.structure.bond_positions, eta.states):
-        if tuple(vals[p] for p in positions) not in state:
-            return False
-    return True
+    return _compatible_index(eta, omega.values)
 
 
 def _compatible_index(eta: BondStateAssignment, values: tuple[int, ...]) -> bool:
@@ -187,7 +183,24 @@ def clusters(eta: BondStateAssignment) -> tuple[frozenset, ...]:
     sites into one component.
     """
     space = eta.structure.space
-    parent = list(range(space.n))
+    active = (
+        positions
+        for i, positions in enumerate(eta.structure.bond_positions)
+        if eta.is_active(i)
+    )
+    groups: dict[int, list] = {}
+    for p, root in enumerate(_component_roots(space.n, active)):
+        groups.setdefault(root, []).append(space.sites[p])
+    pos = space.site_pos
+    return tuple(
+        frozenset(g) for g in sorted(groups.values(), key=lambda g: min(pos[s] for s in g))
+    )
+
+
+def _component_roots(n: int, links) -> list[int]:
+    """Union-find over points 0..n-1: the component root of each point after
+    every link (a sequence of points) merges its points into one component."""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -195,18 +208,11 @@ def clusters(eta: BondStateAssignment) -> tuple[frozenset, ...]:
             x = parent[x]
         return x
 
-    for i, positions in enumerate(eta.structure.bond_positions):
-        if eta.is_active(i):
-            head = find(positions[0])
-            for p in positions[1:]:
-                parent[find(p)] = head
-    groups: dict[int, list] = {}
-    for p in range(space.n):
-        groups.setdefault(find(p), []).append(space.sites[p])
-    pos = space.site_pos
-    return tuple(
-        frozenset(g) for g in sorted(groups.values(), key=lambda g: min(pos[s] for s in g))
-    )
+    for link in links:
+        head = find(link[0])
+        for p in link[1:]:
+            parent[find(p)] = head
+    return [find(x) for x in range(n)]
 
 
 def cluster_count(eta: BondStateAssignment) -> int:

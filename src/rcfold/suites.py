@@ -57,7 +57,16 @@ from .occurrence import (
     rule_by_name,
 )
 from .parallel import pmap
-from .rcr import IsingSpec, check_sublattice, complete_pairing_base, induced_measure, ising_build, ising_measure, verify_rcr
+from .rcr import (
+    IsingSpec,
+    _component_roots,
+    check_sublattice,
+    complete_pairing_base,
+    induced_measure,
+    ising_build,
+    ising_measure,
+    verify_rcr,
+)
 from .serialize import dumps_canonical, jsonable
 
 
@@ -68,17 +77,11 @@ class RunConfig:
     seed: int = 7
     jobs: int = 1
     instances: int | None = None
-    max_sites: int = 5
-    max_upsets: int = 5
-    max_branch_len: int = 5
-    out: str | None = None
     only: int | None = None
 
     def __post_init__(self):
         if self.seed < 0 or self.jobs < 1:
             raise RcfoldError("seed must be nonnegative and jobs positive")
-        if any(c < 1 for c in (self.max_sites, self.max_upsets, self.max_branch_len)):
-            raise RcfoldError("caps must be positive")
 
 
 def _iseed(master: int, part: int, i: int) -> int:
@@ -398,20 +401,6 @@ def _hypothesis_instance(args):
 # ---------------------------------------------------------------------------
 
 
-def _is_connected(v: int, edges) -> bool:
-    parent = list(range(v + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, w in edges:
-        parent[find(u)] = find(w)
-    return len({find(x) for x in range(1, v + 1)}) == 1
-
-
 def connected_graphs(vmax: int):
     """Labeled connected graphs on 1..vmax vertices, deterministic order."""
     out = []
@@ -419,7 +408,7 @@ def connected_graphs(vmax: int):
         pool = list(combinations(range(1, v + 1), 2))
         for emask in range(1 << len(pool)):
             edges = tuple(pool[i] for i in range(len(pool)) if emask >> i & 1)
-            if _is_connected(v, edges):
+            if len(set(_component_roots(v, [(u - 1, w - 1) for u, w in edges]))) == 1:
                 out.append((v, edges))
     return out
 

@@ -118,6 +118,50 @@ def recursive_essential_prefixes(m: Measure, max_len: int) -> set:
     return found
 
 
+def brute_fold(m: Measure, spec) -> Measure:
+    """One folding step computed from its definition.
+
+    Conditions on alpha at the K sites, keeps the configurations whose
+    every other coordinate is one of its two beta symbols, weighs each by
+    its own weight times that of its beta-reversed configuration, and
+    relabels each kept coordinate 0 or 1 by the order of the two symbols in
+    the site's alphabet. Raises FoldingUndefined when no mass is left.
+    """
+    from rcfold import FoldingUndefined
+
+    space = m.space
+    alpha = dict(zip(spec.k_sites, spec.alpha))
+    kept = [s for s in space.sites if s not in alpha]
+    if spec.beta is None:
+        pairs = {s: space.alphabets[space.site_pos[s]] for s in kept}
+    else:
+        pairs = {s: (x, y) for s, x, y in zip(kept, *spec.beta)}
+    weight = {
+        tuple(zip(space.sites, c.symbols())): w
+        for c, w in zip(space.iter_configs(), m.weights)
+    }
+    folded = {}
+    for config, w in weight.items():
+        symbol = dict(config)
+        if any(symbol[s] != a for s, a in alpha.items()):
+            continue
+        if any(symbol[s] not in pairs[s] for s in kept):
+            continue
+        reversed_config = tuple(
+            (s, v if s in alpha else pairs[s][pairs[s].index(v) ^ 1]) for s, v in config
+        )
+        labels = []
+        for s in kept:
+            alph = space.alphabets[space.site_pos[s]]
+            other = pairs[s][pairs[s].index(symbol[s]) ^ 1]
+            labels.append(int(alph.index(symbol[s]) > alph.index(other)))
+        folded[tuple(labels)] = w * weight[reversed_config]
+    if not any(folded.values()):
+        raise FoldingUndefined("no mass survives the fold")
+    fspace = SiteSpace.binary(kept)
+    return normalize(fspace, [folded[c.values] for c in fspace.iter_configs()])
+
+
 def measure_of_dict(space: SiteSpace, d: dict) -> Measure:
     raw = [d.get(i, Fraction(0)) for i in range(space.size)]
     return normalize(space, raw)

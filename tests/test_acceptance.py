@@ -4,6 +4,8 @@ All arithmetic is exact; every tolerance below is zero unless a numeric
 threshold is spelled out (the convergence tail). Each test prints one
 PASS/FAIL line; run with `pytest tests/test_acceptance.py -s` to see them.
 """
+import hashlib
+
 import pytest
 
 from rcfold.suites import SUITES, RunConfig, render_report, run_suite
@@ -163,3 +165,25 @@ def test_criterion_extra_meta_implication():
     rep = report("lemma-233")
     ok = rep["ok"]
     announce("M", "per-folding hypothesis implies the product bound on every checked instance", ok)
+
+
+# SHA-256 of each suite's report at seed 7, jobs 1, 3 instances. A change
+# meant to keep behaviour must keep these bytes; a change that alters a
+# report on purpose updates the constant and says why.
+REPORT_SHA256 = {
+    "bk-sanity": "6cb9b5fa48edf7c5178268ba3771e8d97fb52e9b1503658ee675e1a06a1da6d3",
+    "fkg-pa": "87bb25aa1e7cf0c33661ff019a68af846715771ef96a7bc1c90b42d20a704e43",
+    "folding-convergence": "a9744bea8029a9159f1a3ea7e3dcd15c7516f5c61c1820bbeb6d413586712fd6",
+    "lemma-232": "dc893165f12da9ee76ec408a2e3aab0bc42d13e616a9c0986b3f561fb2eee372",
+    "lemma-233": "2fa887c2abe9ce074c8155422da395e25ab5537f99f5f8e23e495c93a3477106",
+    "nfkg-na": "d35f4b9131f66c32fa659e280a6d7c4fac19ea6a865012de4a38cc53dee1ced3",
+    "rcr-roundtrip": "d723d53adc678eb17351e9939f89f42edd31eb7b9bf2de96e2515df61502e8cf",
+    "snfkg-na": "0562b2bc63276bfab363ecac18390d5e4dec9eb68e167af720734da3c19866da",
+    "sublattice": "d7903a64892e34c45399b3c66e7a4736769777ccde2e2d196ef3bf24371bf65e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_report_bytes_pinned(name):
+    text = render_report(report(name, instances=3))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name]

@@ -217,6 +217,25 @@ class TestCheckAndPipeline:
         code, out = run_cli(["check", "fkg", bad], capsys)
         assert code == 1 and json.loads(out)["verdict"] is False
 
+    @staticmethod
+    def assert_usage_error(path, capsys):
+        code = main(["check", "fkg", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: cannot read ")
+        assert captured.err.count("\n") == 1
+
+    def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
+        self.assert_usage_error(str(tmp_path / "missing.json"), capsys)
+
+    def test_malformed_json_is_usage_error(self, tmp_path, capsys):
+        self.assert_usage_error(write_json(tmp_path, "broken.json", "{"), capsys)
+
+    def test_measure_without_alphabets_is_usage_error(self, tmp_path, capsys):
+        obj = measure_to_json(Measure(binary_space(1), ("1/2", "1/2")))
+        del obj["alphabets"]
+        self.assert_usage_error(write_json(tmp_path, "m.json", obj), capsys)
+
     def test_check_ulc(self, tmp_path, capsys):
         m = write_json(
             tmp_path,

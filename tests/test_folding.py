@@ -18,9 +18,10 @@ from rcfold import (
     normalize,
     sup_distance,
 )
+from rcfold.folding import _first_fold_specs
 from rcfold.generators import random_measure
 
-from oracles import recursive_essential_prefixes, square_renormalize
+from oracles import brute_fold, recursive_essential_prefixes, square_renormalize
 
 F = Fraction
 
@@ -78,6 +79,46 @@ class TestFold:
             m = random_measure(2, seed)
             sym = fold(m, FoldSpec((), ()))
             assert fold(sym, FoldSpec((), ())) == square_renormalize(sym)
+
+
+class TestFoldOracle:
+    @staticmethod
+    def assert_matches_oracle(m):
+        for spec in _first_fold_specs(m.space):
+            try:
+                expected = brute_fold(m, spec)
+            except FoldingUndefined:
+                with pytest.raises(FoldingUndefined):
+                    fold(m, spec)
+                continue
+            assert fold(m, spec) == expected, spec
+
+    def test_binary_with_zero_weights(self):
+        import random
+
+        rng = random.Random(3)
+        undefined = 0
+        for n in (1, 2, 3):
+            for _ in range(12):
+                weights = [rng.choice((0, 0, 1, 2, 5)) for _ in range(1 << n)]
+                weights[rng.randrange(1 << n)] += 1
+                m = normalize(binary(n), weights)
+                self.assert_matches_oracle(m)
+                for spec in _first_fold_specs(m.space):
+                    try:
+                        fold(m, spec)
+                    except FoldingUndefined:
+                        undefined += 1
+        assert undefined > 0
+
+    def test_mixed_radix(self):
+        import random
+
+        sp = SiteSpace((1, 2, 3), ((0, 1, 2), ("a", "b"), (0, 1, 2)))
+        rng = random.Random(5)
+        for _ in range(3):
+            m = normalize(sp, [rng.choice((0, 1, 2, 3, 7)) for _ in range(sp.size)])
+            self.assert_matches_oracle(m)
 
 
 class TestFoldPath:

@@ -6,10 +6,10 @@ cluster bases, ``occurrence`` runs box operations and the two occurrence
 bounds, ``check`` and ``pipeline`` run the association machinery, and
 ``suite`` runs a named reproducible batch. Exit status is 0 when the
 requested verdict holds, 1 when it fails, and 2 on a usage error, which
-includes an input file that cannot be opened or parsed. Flags fall back to
-RCFOLD_* environment variables (RCFOLD_SEED, RCFOLD_JOBS, RCFOLD_OUT,
-RCFOLD_CAP_SITES). ``--cap-sites`` caps the site count of ``check pa`` and
-``check na`` only.
+includes an input file that cannot be opened or parsed and an ``--out``
+file that cannot be written. Flags fall back to RCFOLD_* environment
+variables (RCFOLD_SEED, RCFOLD_JOBS, RCFOLD_OUT, RCFOLD_CAP_SITES).
+``--cap-sites`` caps the site count of ``check pa`` and ``check na`` only.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 from .association import (
@@ -61,7 +62,7 @@ from .serialize import (
     measure_to_json,
     path_from_json,
 )
-from .suites import SUITES, RunConfig, render_report, run_suite
+from .suites import SUITES, RunConfig, run_suite
 
 
 def _env_int(name: str, default: int) -> int:
@@ -89,12 +90,17 @@ def _read(path: str, parse, *args):
 
 
 def _emit(obj, out: str | None) -> None:
+    """Write canonical JSON to the ``--out`` file, or to stdout without one;
+    a file that cannot be written is a usage error."""
     text = dumps_canonical(obj)
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InvalidParams(f"cannot write {out}: {type(exc).__name__}: {exc}") from exc
 
 
 def _parse_edges(text: str):
@@ -252,13 +258,11 @@ def _cmd_suite(args) -> int:
         instances=args.instances,
         only=args.only,
     )
+    t0 = time.monotonic()
     report = run_suite(args.name, cfg)
-    text = render_report(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    count, elapsed = len(report["instances"]), time.monotonic() - t0
+    print(f"[{args.name}] {count} instances in {elapsed:.2f}s", file=sys.stderr)
+    _emit(report, args.out)  # the bytes of render_report
     return 0 if report["ok"] else 1
 
 

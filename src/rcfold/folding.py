@@ -31,11 +31,10 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, FoldingUndefined, InvalidParams
 from .measures import (
-    Config,
     Event,
     Measure,
     SiteSpace,
-    _cylinder_mask,
+    _cylinder_table,
     normalize,
     sup_distance,
 )
@@ -190,9 +189,6 @@ class FoldWindow:
             raise FoldingUndefined(f"fold {self.spec} has zero total mass")
         return out
 
-    def lift_config(self, folded: Config) -> Config:
-        return self.space.config_at(self.lift[folded.index])
-
     def slice_event(self, full_event: Event) -> Event:
         """Folded configurations whose lift lies in the full-space event."""
         mask = full_event.mask
@@ -206,11 +202,13 @@ class FoldWindow:
 
         The conditioned sites run free; a configuration carrying a symbol
         outside the beta pair at a surviving site lifts no folded
-        configuration and is left out.
+        configuration and is left out. The box run on the extension reads
+        the same cylinder table.
         """
+        cylinders = _cylinder_table(self.space)
         mask = 0
         for f in folded_event.indices():
-            mask |= _cylinder_mask(self.space, self.lift[f], self.co_mask)
+            mask |= cylinders[self.lift[f]][self.co_mask]
         return Event(self.space, mask)
 
 

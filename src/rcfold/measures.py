@@ -361,7 +361,6 @@ def cylinder(omega: Config, region: Iterable) -> Event:
     return Event(space, _cylinder_mask(space, omega.index, kmask))
 
 
-@lru_cache(maxsize=None)
 def _cylinder_mask(space: SiteSpace, index: int, kmask: int) -> int:
     """Bitmask of configurations agreeing with configuration ``index`` on
     the sites whose positions are set in ``kmask``."""
@@ -373,6 +372,24 @@ def _cylinder_mask(space: SiteSpace, index: int, kmask: int) -> int:
         if all(vals[p] == ref[p] for p in positions):
             out |= 1 << j
     return out
+
+
+@lru_cache(maxsize=None)
+def _cylinder_table(space: SiteSpace) -> tuple[tuple[int, ...], ...]:
+    """Entry [index][kmask] is ``_cylinder_mask(space, index, kmask)``.
+
+    Size * 2^n masks, for the small spaces the occurrence layer boxes on;
+    entry K of a row is entry K less its lowest position, cut by that
+    position's single-site cylinder."""
+    table = []
+    for i in range(space.size):
+        single = [_cylinder_mask(space, i, 1 << p) for p in range(space.n)]
+        row = [(1 << space.size) - 1]
+        for k in range(1, 1 << space.n):
+            low = k & -k
+            row.append(row[k ^ low] & single[low.bit_length() - 1])
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def enumerate_upsets(space: SiteSpace, cap: int = UPSET_CAP) -> tuple[Event, ...]:

@@ -2,14 +2,17 @@
 
 For events A, B and a configuration w, a witness pair is a pair of
 disjoint site sets (K, L) such that the cylinder of w on K lies inside A
-and the cylinder on L lies inside B. A selection rule filters the witness
-set; its box operation collects the configurations where the filtered set
-is nonempty. Rules can be pushed through a folding step, and two checkable
-bounds tie the machinery to measures: the disjoint-cluster bound (box
-probability against the bar-reflected intersection, given a symmetric
-cluster base whose clusters never straddle a witness pair) and the folding
-hypothesis bound (per-folding box inequalities forcing the product bound
-upstairs).
+and the cylinder on L lies inside B. A site set is held as a position-mask
+(bit p for the site at position p), and the witness set of an event at w
+as one bitmask over position-masks, computed by ``_witness_set`` alone.
+A selection rule is a side filter: at each configuration it gives the
+positions the A-side and the B-side of a kept pair may use. Its box
+operation collects the configurations where some pair is kept. Rules can
+be pushed through a folding step, and two checkable bounds tie the
+machinery to measures: the disjoint-cluster bound (box probability against
+the bar-reflected intersection, given a symmetric cluster base whose
+clusters never straddle a witness pair) and the folding hypothesis bound
+(per-folding box inequalities forcing the product bound upstairs).
 """
 from __future__ import annotations
 
@@ -24,98 +27,111 @@ from .measures import (
     Event,
     Measure,
     SiteSpace,
-    _cylinder_mask,
+    _cylinder_table,
     as_fraction,
     normalize,
     weight_summer,
 )
 from .rcr import RcrBase, _compatible_index, clusters, predicates, verify_rcr
 
-Pair = tuple[frozenset, frozenset]
+
+def _witness_set(cylinders: tuple[int, ...], mask: int) -> int:
+    """The position-masks K with [w]_K inside the event ``mask``, as a
+    bitmask over K, given the cylinder row of w (``_cylinder_table``). The
+    set is upward closed: a larger K has a smaller cylinder."""
+    outside = ~mask
+    return sum(1 << k for k, cyl in enumerate(cylinders) if not cyl & outside)
 
 
-def _witness_kmasks(event: Event, index: int) -> list[int]:
-    """Position-masks K with [w]_K inside the event, for w = index."""
-    space = event.space
-    return [
-        kmask
-        for kmask in range(1 << space.n)
-        if not _cylinder_mask(space, index, kmask) & ~event.mask
-    ]
+def _subset_sets(n: int) -> list[int]:
+    """Entry s: the position-masks inside s, as a bitmask over position-masks."""
+    within = [1]
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = within[s ^ low]
+        within.append(rest | rest << low)
+    return within
+
+
+def _partners(ks: int, within: list[int]) -> int:
+    """Position-masks disjoint from some member of ``ks``, as a bitmask."""
+    full = len(within) - 1
+    out = 0
+    for k in range(full + 1):
+        if ks >> k & 1:
+            out |= within[full ^ k]
+    return out
 
 
 def _sites_of(space: SiteSpace, kmask: int) -> frozenset:
     return frozenset(space.sites[p] for p in range(space.n) if kmask >> p & 1)
 
 
-def disjoint_pairs(a: Event, b: Event, omega: Config) -> frozenset:
-    """All witness pairs (K, L) for A and B at omega, as site frozensets."""
-    if a.space != omega.space or b.space != omega.space:
-        raise SpaceMismatch("events and configuration on different spaces")
-    space = omega.space
-    i = omega.index
-    ka = _witness_kmasks(a, i)
-    kb = _witness_kmasks(b, i)
-    return frozenset(
-        (_sites_of(space, k), _sites_of(space, l))
-        for k in ka
-        for l in kb
-        if not k & l
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class SelectionRule:
-    """A named filter over the disjoint-occurrence witness set."""
+    """A named side filter over the disjoint-occurrence witness pairs.
+
+    ``sides(space, index)`` gives two position-masks; at that configuration
+    the rule keeps the witness pairs (K, L) with K inside the first and L
+    inside the second. A rule pushed through folds carries their windows,
+    first fold first, and runs its sides on the unfolded space.
+    """
 
     name: str
-    selector: Callable[[Event, Event, Config], frozenset]
+    sides: Callable[[SiteSpace, int], tuple[int, int]]
+    windows: tuple[FoldWindow, ...] = ()
+
+    def _kept(self, a: Event, b: Event, index: int, table, within: list[int]):
+        """The kept A-side and B-side witness sets at ``index``."""
+        sa, sb = self.sides(a.space, index)
+        cylinders = table[index]
+        return (
+            _witness_set(cylinders, a.mask) & within[sa],
+            _witness_set(cylinders, b.mask) & within[sb],
+        )
 
     def select(self, a: Event, b: Event, omega: Config) -> frozenset:
-        return self.selector(a, b, omega)
+        """The kept witness pairs at omega, as pairs of site frozensets."""
+        if a.space != omega.space or b.space != omega.space:
+            raise SpaceMismatch("events and configuration on different spaces")
+        index = omega.index
+        for window in reversed(self.windows):
+            a, b = window.extend_event(a), window.extend_event(b)
+            index = window.lift[index]
+        space = a.space
+        ka, lb = self._kept(a, b, index, _cylinder_table(space), _subset_sets(space.n))
+        kmasks = range(1 << space.n)
+        keep = frozenset(omega.space.sites)
+        return frozenset(
+            (_sites_of(space, k) & keep, _sites_of(space, l) & keep)
+            for k in kmasks
+            if ka >> k & 1
+            for l in kmasks
+            if lb >> l & 1 and not k & l
+        )
+
+
+def _ones_zeros(space: SiteSpace, index: int) -> tuple[int, int]:
+    """Position-masks of the sites at their top and at their bottom symbol."""
+    coords = list(enumerate(zip(space.values_at(index), space.radices)))
+    ones = sum(1 << p for p, (v, r) in coords if v == r - 1)
+    return ones, sum(1 << p for p, (v, _) in coords if v == 0)
 
 
 def full_rule() -> SelectionRule:
-    return SelectionRule("full", disjoint_pairs)
-
-
-def _ones_sites(omega: Config) -> frozenset:
-    space = omega.space
-    return frozenset(
-        s for s, v, r in zip(space.sites, omega.values, space.radices) if v == r - 1
-    )
-
-
-def _zeros_sites(omega: Config) -> frozenset:
-    space = omega.space
-    return frozenset(
-        s for s, v in zip(space.sites, omega.values) if v == 0
-    )
+    return SelectionRule("full", lambda space, index: ((1 << space.n) - 1,) * 2)
 
 
 def increasing_only_rule() -> SelectionRule:
     """Keep witness pairs recognized inside the 1s of the configuration."""
-
-    def selector(a: Event, b: Event, omega: Config) -> frozenset:
-        ones = _ones_sites(omega)
-        return frozenset(
-            (k, l) for k, l in disjoint_pairs(a, b, omega) if k <= ones and l <= ones
-        )
-
-    return SelectionRule("increasing_only", selector)
+    return SelectionRule(
+        "increasing_only", lambda space, index: (_ones_zeros(space, index)[0],) * 2
+    )
 
 
 def increasing_decreasing_rule() -> SelectionRule:
     """Recognize A inside the 1s and B inside the 0s of the configuration."""
-
-    def selector(a: Event, b: Event, omega: Config) -> frozenset:
-        ones = _ones_sites(omega)
-        zeros = _zeros_sites(omega)
-        return frozenset(
-            (k, l) for k, l in disjoint_pairs(a, b, omega) if k <= ones and l <= zeros
-        )
-
-    return SelectionRule("increasing_decreasing", selector)
+    return SelectionRule("increasing_decreasing", _ones_zeros)
 
 
 BUILTIN_RULES = {
@@ -132,74 +148,59 @@ def rule_by_name(name: str) -> SelectionRule:
     return BUILTIN_RULES[key]()
 
 
+def disjoint_pairs(a: Event, b: Event, omega: Config) -> frozenset:
+    """All witness pairs (K, L) for A and B at omega, as site frozensets."""
+    return full_rule().select(a, b, omega)
+
+
 def box(a: Event, b: Event) -> Event:
     """The plain box: configurations admitting some disjoint witness pair."""
-    if a.space != b.space:
-        raise SpaceMismatch("events on different spaces")
-    space = a.space
-    members = []
-    for i in range(space.size):
-        ka = _witness_kmasks(a, i)
-        if not ka:
-            continue
-        kb = _witness_kmasks(b, i)
-        if any(not k & l for k in ka for l in kb):
-            members.append(i)
-    return Event.from_indices(space, members)
+    return box_with_rule(a, b, full_rule())
 
 
 def box_with_rule(a: Event, b: Event, rule: SelectionRule) -> Event:
-    """Configurations where the rule keeps at least one witness pair."""
+    """Configurations where the rule keeps at least one witness pair.
+
+    A pushed rule keeps a pair at a folded configuration exactly when the
+    unpushed rule keeps one at its lift for the extended events, so its box
+    is the slice of the unfolded box.
+    """
     if a.space != b.space:
         raise SpaceMismatch("events on different spaces")
+    for window in reversed(rule.windows):
+        a, b = window.extend_event(a), window.extend_event(b)
     space = a.space
-    return Event.from_indices(
-        space,
-        (i for i in range(space.size) if rule.select(a, b, space.config_at(i))),
-    )
+    table = _cylinder_table(space)
+    within = _subset_sets(space.n)
+    mask = 0
+    for i in range(space.size):
+        ka, lb = rule._kept(a, b, i, table, within)
+        if ka and _partners(ka, within) & lb:
+            mask |= 1 << i
+    boxed = Event(space, mask)
+    for window in rule.windows:
+        boxed = window.slice_event(boxed)
+    return boxed
 
 
 def box_product_sweep(p: Measure) -> dict:
     """Check P(A box B) <= P(A) P(B) over every pair of events, exactly.
 
-    Precomputes, per configuration, the witness sets of each event as
-    bitmasks over position-masks, so the quadratic pair sweep runs on
-    machine integers. Returns counts and the violating pairs (as event
-    masks), if any.
+    Tabulates, per event and configuration, the witness set and the
+    position-masks disjoint from one of its members, so the quadratic pair
+    sweep runs on machine integers. Returns counts and the violating pairs
+    (as event masks), if any.
     """
     space = p.space
     size = space.size
-    n = space.n
     n_events = 1 << size
-    kmasks = 1 << n
-    # disj[k] = bitmask of position-masks disjoint from k
-    disj = [0] * kmasks
-    for k in range(kmasks):
-        for l in range(kmasks):
-            if not k & l:
-                disj[k] |= 1 << l
-    cyl = [[_cylinder_mask(space, i, k) for k in range(kmasks)] for i in range(size)]
+    within = _subset_sets(space.n)
     nums, den = p.int_weights
     wsum = weight_summer(nums, size)
-    # per event: witness position-mask set and its disjoint closure, per config
-    witness = []
-    allowed = []
-    sums = []
-    for a in range(n_events):
-        wa = []
-        da = []
-        for i in range(size):
-            ks = 0
-            dk = 0
-            for k in range(kmasks):
-                if not cyl[i][k] & ~a:
-                    ks |= 1 << k
-                    dk |= disj[k]
-            wa.append(ks)
-            da.append(dk)
-        witness.append(wa)
-        allowed.append(da)
-        sums.append(wsum(a))
+    table = _cylinder_table(space)
+    witness = [[_witness_set(row, a) for row in table] for a in range(n_events)]
+    allowed = [[_partners(ks, within) for ks in row] for row in witness]
+    sums = [wsum(a) for a in range(n_events)]
 
     violations = []
     checked = 0
@@ -237,30 +238,15 @@ def induced_rule(rule: SelectionRule, space: SiteSpace, spec: FoldSpec) -> Selec
     conditioned sites (so a witness pair need not re-certify the
     conditioning), the configuration is lifted through alpha and beta,
     the original rule runs there, and each witness pair is intersected
-    with the surviving sites. With this reading the full rule induces the
-    full rule of the smaller space, and the slice of a box is always
-    contained in the box of the slices.
+    with the surviving sites. With this reading, on a binary space, the
+    full rule induces the full rule of the smaller space, and the slice of
+    a box is always contained in the box of the slices.
     """
     return _pushed_rule(rule, fold_window(space, spec))
 
 
 def _pushed_rule(rule: SelectionRule, window: FoldWindow) -> SelectionRule:
-    co_sites = frozenset(window.folded_space.sites)
-    # a box asks the rule about every configuration for one event pair, so
-    # the pair's extensions are kept until the next pair arrives
-    pair = extended = None
-
-    def selector(a: Event, b: Event, omega: Config) -> frozenset:
-        nonlocal pair, extended
-        if (a, b) != pair:
-            pair, extended = (a, b), (window.extend_event(a), window.extend_event(b))
-        lifted_a, lifted_b = extended
-        return frozenset(
-            (k & co_sites, l & co_sites)
-            for k, l in rule.select(lifted_a, lifted_b, window.lift_config(omega))
-        )
-
-    return SelectionRule(f"{rule.name}@fold", selector)
+    return SelectionRule(f"{rule.name}@fold", rule.sides, rule.windows + (window,))
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,11 @@ which never changes the report bytes), and assembles a stable JSON report:
 one row per instance or aggregate sweep, a summary, and an overall
 verdict. Failing rows embed a reproduction command line. Wall-clock
 timings are deliberately kept out of the report so identical runs are
-byte-identical; they go to stderr instead.
+byte-identical; ``rcfold suite`` prints the run's wall time to stderr.
 """
 from __future__ import annotations
 
 import random
-import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
@@ -417,10 +415,7 @@ def _assemble(suite: str, cfg: RunConfig, params: dict, worker, specs) -> dict:
     ids = list(range(len(specs)))
     if cfg.only is not None:
         ids = [i for i in ids if i == cfg.only]
-    t0 = time.monotonic()
     rows = pmap(worker, [specs[i] for i in ids], cfg.jobs)
-    elapsed = time.monotonic() - t0
-    print(f"[{suite}] {len(ids)} instances in {elapsed:.2f}s", file=sys.stderr)
     instances = []
     failed = 0
     for row_id, row in zip(ids, rows):

@@ -4,7 +4,7 @@ Everything here is written as directly from the definitions as possible
 and stays ignorant of the library's internal shortcuts.
 """
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 from rcfold import Event, Measure, SiteSpace, cylinder, normalize
 
@@ -165,3 +165,23 @@ def brute_fold(m: Measure, spec) -> Measure:
 def measure_of_dict(space: SiteSpace, d: dict) -> Measure:
     raw = [d.get(i, Fraction(0)) for i in range(space.size)]
     return normalize(space, raw)
+
+
+def brute_box(a: Event, b: Event, keep) -> Event:
+    """The box of A and B under a selection rule, from its definition.
+
+    A configuration w is a member when some disjoint site sets K and L have
+    the cylinder of w on K inside A, the cylinder on L inside B, and
+    ``keep(w, K, L)`` true.
+    """
+    space = a.space
+    subsets = [
+        frozenset(c) for r in range(space.n + 1) for c in combinations(space.sites, r)
+    ]
+    members = []
+    for w in space.iter_configs():
+        ks = [k for k in subsets if cylinder(w, k).is_subset(a)]
+        ls = [l for l in subsets if cylinder(w, l).is_subset(b)]
+        if any(not k & l and keep(w, k, l) for k in ks for l in ls):
+            members.append(w.index)
+    return Event.from_indices(space, members)

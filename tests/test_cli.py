@@ -132,6 +132,15 @@ class TestOccurrenceCommands:
         code, out = run_cli(["occurrence", "box", "--a", a, "--b", b], capsys)
         assert code == 0
         assert json.loads(out)["configs"] == [[1, 1]]
+        down = write_json(tmp_path, "d.json", {**space, "configs": [[0, 0], [1, 0]]})
+        args = ["occurrence", "box", "--a", a, "--b", down, "--rule", "increasing_decreasing"]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        assert json.loads(out)["configs"] == [[1, 0]]
+        code = main(["occurrence", "box", "--a", a, "--b", b, "--rule", "no_such_rule"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_check_232(self, tmp_path, capsys):
         spec_path = write_json(
@@ -282,6 +291,30 @@ class TestSuiteCommand:
         report = json.loads(out_file.read_text())
         assert report["ok"] is True
         assert report["suite"] == "bk-sanity"
+
+    def test_suite_prints_its_wall_time_but_run_suite_does_not(self, capsys):
+        code = main(["--seed", "7", "suite", "bk-sanity", "--instances", "1"])
+        assert code == 0
+        assert capsys.readouterr().err.startswith("[bk-sanity] 2 instances in ")
+        run_suite("bk-sanity", RunConfig(seed=7, jobs=1, instances=1))
+        assert capsys.readouterr().err == ""
+
+    @staticmethod
+    def assert_unwritable_out(args, tmp_path, capsys):
+        target = str(tmp_path / "nodir" / "out.json")
+        code = main(args + ["--out", target])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: cannot write {target}")
+        assert "Traceback" not in captured.err
+
+    def test_gen_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        self.assert_unwritable_out(["gen", "random_fkg", "--sites", "2"], tmp_path, capsys)
+
+    def test_suite_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        args = ["suite", "bk-sanity", "--instances", "1"]
+        self.assert_unwritable_out(args, tmp_path, capsys)
 
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RCFOLD_SEED", "12")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from rcfold import (
     enumerate_upsets,
     event_slice,
     fold,
+    fold_window,
     full_rule,
     increasing_decreasing_rule,
     increasing_only_rule,
@@ -23,8 +25,11 @@ from rcfold import (
     ising_build,
     IsingSpec,
 )
+from rcfold.folding import _first_fold_specs
 from rcfold.occurrence import box_product_sweep
 from rcfold.generators import random_product_measure, random_fkg_measure
+
+from oracles import brute_box
 
 F = Fraction
 
@@ -127,6 +132,68 @@ class TestBoxWithRule:
                 for bmask in range(16):
                     a, b = Event(sp, amask), Event(sp, bmask)
                     assert box_with_rule(a, b, rule).is_subset(box(a, b))
+
+
+def _ones(w):
+    sp = w.space
+    return {s for s, v, r in zip(sp.sites, w.values, sp.radices) if v == r - 1}
+
+
+def _zeros(w):
+    return {s for s, v in zip(w.space.sites, w.values) if v == 0}
+
+
+# each built-in rule with its keep predicate, written from the definitions
+RULES_AND_KEEPS = (
+    (full_rule, lambda w, k, l: True),
+    (increasing_only_rule, lambda w, k, l: k <= _ones(w) and l <= _ones(w)),
+    (increasing_decreasing_rule, lambda w, k, l: k <= _ones(w) and l <= _zeros(w)),
+)
+
+ORACLE_SPACES = (binary(1), binary(2), binary(3), SiteSpace((1, 2), ((0, 1, 2), (0, 1))))
+ORACLE_IDS = ("binary1", "binary2", "binary3", "radix32")
+
+
+def _event_pairs(sp, count, seed=0):
+    """``count`` seeded event pairs, or every pair when there are no more."""
+    full = (1 << sp.size) - 1
+    if (full + 1) ** 2 <= count:
+        return [(Event(sp, x), Event(sp, y)) for x in range(full + 1) for y in range(full + 1)]
+    rng = random.Random(seed)
+    return [
+        (Event(sp, rng.randrange(full + 1)), Event(sp, rng.randrange(full + 1)))
+        for _ in range(count)
+    ]
+
+
+class TestBoxOracle:
+    @pytest.mark.parametrize("sp", ORACLE_SPACES, ids=ORACLE_IDS)
+    def test_box_and_rules_match_the_definition(self, sp):
+        for a, b in _event_pairs(sp, 256):
+            assert box(a, b) == brute_box(a, b, RULES_AND_KEEPS[0][1])
+            for make, keep in RULES_AND_KEEPS:
+                assert box_with_rule(a, b, make()) == brute_box(a, b, keep)
+
+    @pytest.mark.parametrize("sp", ORACLE_SPACES, ids=ORACLE_IDS)
+    def test_induced_rules_box_the_slice_of_the_unfolded_box(self, sp):
+        for spec in _first_fold_specs(sp):
+            window = fold_window(sp, spec)
+            for make, keep in RULES_AND_KEEPS:
+                pushed = induced_rule(make(), sp, spec)
+                for a, b in _event_pairs(window.folded_space, 12, seed=len(spec.k_sites)):
+                    expect = brute_box(window.extend_event(a), window.extend_event(b), keep)
+                    assert box_with_rule(a, b, pushed) == window.slice_event(expect)
+
+    @pytest.mark.parametrize("sp", ORACLE_SPACES, ids=ORACLE_IDS)
+    def test_box_is_where_select_keeps_a_pair(self, sp):
+        rules = [make() for make, _ in RULES_AND_KEEPS]
+        spec = next(iter(_first_fold_specs(sp)))
+        folded = fold_window(sp, spec).folded_space
+        for r in rules:
+            for space, rule in ((sp, r), (folded, induced_rule(r, sp, spec))):
+                for a, b in _event_pairs(space, 12, seed=3):
+                    expect = Event.from_predicate(space, lambda w: bool(rule.select(a, b, w)))
+                    assert box_with_rule(a, b, rule) == expect
 
 
 class TestEventSlice:
@@ -333,3 +400,17 @@ class TestBoxProductSweep:
         res = box_product_sweep(m)
         assert res["pairs"] == 65536
         assert not res["violations"]
+
+    def test_ising_violations_match_the_definition(self):
+        m = ising_build(IsingSpec((1, 2), ((1, 2, F(2)),))).measure
+        sp = m.space
+        events = [Event(sp, mask) for mask in range(16)]
+        expect = [
+            (a.mask, b.mask)
+            for a in events
+            for b in events
+            if m.prob(brute_box(a, b, lambda w, k, l: True)) > m.prob(a) * m.prob(b)
+        ]
+        res = box_product_sweep(m)
+        assert res["pairs"] == 256 and len(expect) == 4
+        assert res["violations"] == expect

@@ -6,8 +6,10 @@ cluster bases, ``occurrence`` runs box operations and the two occurrence
 bounds, ``check`` and ``pipeline`` run the association machinery, and
 ``suite`` runs a named reproducible batch. Exit status is 0 when the
 requested verdict holds, 1 when it fails, and 2 on a usage error, which
-includes an input file that cannot be opened or parsed and an ``--out``
-file that cannot be written. Flags fall back to RCFOLD_* environment
+includes an input file that cannot be opened or parsed, an ``--out``
+file that cannot be written, a non-integer RCFOLD_SEED, RCFOLD_JOBS or
+RCFOLD_CAP_SITES, and a suite ``--instances`` or ``--only`` that is
+negative or names no row. Flags fall back to RCFOLD_* environment
 variables (RCFOLD_SEED, RCFOLD_JOBS, RCFOLD_OUT, RCFOLD_CAP_SITES).
 ``--cap-sites`` caps the site count of ``check pa`` and ``check na`` only.
 """
@@ -67,11 +69,10 @@ from .suites import SUITES, RunConfig, run_suite
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
-    return int(raw) if raw else default
-
-
-def _env_str(name: str) -> str | None:
-    return os.environ.get(name) or None
+    try:
+        return int(raw) if raw else default
+    except ValueError:
+        raise InvalidParams(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _read(path: str, parse, *args):
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=_env_int("RCFOLD_SEED", 7))
     parser.add_argument("--jobs", type=int, default=_env_int("RCFOLD_JOBS", 1))
     parser.add_argument("--cap-sites", type=int, default=_env_int("RCFOLD_CAP_SITES", 5))
-    parser.add_argument("--out", default=_env_str("RCFOLD_OUT"))
+    parser.add_argument("--out", default=os.environ.get("RCFOLD_OUT") or None)
 
     # the shared flags are also accepted after the subcommand; SUPPRESS keeps
     # a pre-subcommand value from being clobbered by the sub-level default
@@ -362,9 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except RcfoldError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -375,12 +375,8 @@ def iter_essential_branches(
 def enumerate_essential_prefixes(
     p: Measure, max_len: int, cap: int = BRANCH_CAP
 ) -> Iterator[FoldPath]:
-    """Every defined essential prefix up to max_len, deduplicated by steps."""
+    """Every defined essential prefix up to max_len, each once."""
     if p.space.n > cap:
         raise CapExceeded(f"|sites|={p.space.n} exceeds cap {cap}")
-    seen = set()
     for path, _, _ in iter_essential_branches(p, max_len):
-        key = tuple((s.k_sites, s.alpha, s.beta) for s in path)
-        if key not in seen:
-            seen.add(key)
-            yield path
+        yield path

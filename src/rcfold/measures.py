@@ -5,6 +5,9 @@ per site. Configurations store one alphabet index per site and are
 addressable by a mixed-radix integer (first site most significant), so a
 binary space enumerates its configurations as plain bit patterns. Events
 store membership as an integer bitmask over configuration indices.
+``SiteSpace.value_masks`` is the one reader of that index layout: the
+bitmask of the configurations carrying each value at each position, from
+which cylinders, bond compatibility and site agreement are ANDs and ORs.
 
 All probabilities are ``fractions.Fraction``; nothing on a verification
 path ever touches floating point.
@@ -132,23 +135,26 @@ class SiteSpace:
         for i in range(self.size):
             yield self.config_at(i)
 
-    def subspace(self, sites: Iterable) -> "SiteSpace":
-        """Sub-space over a subset of sites, keeping this space's order."""
-        keep = set(sites)
-        unknown = keep - set(self.sites)
-        if unknown:
-            raise InvalidParams(f"unknown sites: {sorted(unknown, key=repr)}")
-        picked = tuple(s for s in self.sites if s in keep)
-        return SiteSpace(picked, tuple(self.alphabets[self.site_pos[s]] for s in picked))
+    @cached_property
+    def value_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Entry [p][v]: the bitmask of configuration indices with value index
+        v at position p. With place value w and radix r these form a run of w
+        every r * w indices: one run times (2**size - 1) // (2**(r * w) - 1),
+        which is 1 + 2**(r * w) + 2**(2 * r * w) + ..., as r * w divides size."""
+        full = (1 << self.size) - 1
+        out = []
+        for w, r in zip(self.index_weights, self.radices):
+            repeat = full // ((1 << (r * w)) - 1)
+            out.append(tuple((((1 << w) - 1) << (v * w)) * repeat for v in range(r)))
+        return tuple(out)
 
     @cached_property
     def flip_table(self) -> tuple[int, ...]:
-        """index -> index of the configuration with every symbol reversed."""
-        out = []
-        for i in range(self.size):
-            vals = self.values_at(i)
-            out.append(self.config_index(tuple(r - 1 - v for v, r in zip(vals, self.radices))))
-        return tuple(out)
+        """index -> index of the configuration with every symbol reversed.
+
+        Value v becomes r - 1 - v at every position, and the place values
+        times r - 1 sum to size - 1, so index i maps to size - 1 - i."""
+        return tuple(range(self.size - 1, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -173,9 +179,6 @@ class Config:
     def symbols(self) -> tuple:
         return tuple(a[v] for a, v in zip(self.space.alphabets, self.values))
 
-    def value_at(self, site) -> int:
-        return self.values[self.space.site_pos[site]]
-
     def ones(self) -> int:
         """Number of sites carrying their maximal symbol (binary: the 1s)."""
         return sum(1 for v, r in zip(self.values, self.space.radices) if v == r - 1)
@@ -187,11 +190,6 @@ class Config:
             tuple(r - 1 - v for v, r in zip(self.values, self.space.radices)),
         )
 
-    def leq(self, other: "Config") -> bool:
-        """Coordinatewise partial order induced by the alphabet orders."""
-        _require_same_space(self.space, other.space)
-        return all(a <= b for a, b in zip(self.values, other.values))
-
     def join(self, other: "Config") -> "Config":
         _require_same_space(self.space, other.space)
         return Config(self.space, tuple(max(a, b) for a, b in zip(self.values, other.values)))
@@ -199,10 +197,6 @@ class Config:
     def meet(self, other: "Config") -> "Config":
         _require_same_space(self.space, other.space)
         return Config(self.space, tuple(min(a, b) for a, b in zip(self.values, other.values)))
-
-    def restrict(self, sites: Iterable) -> "Config":
-        sub = self.space.subspace(sites)
-        return Config(sub, tuple(self.values[self.space.site_pos[s]] for s in sub.sites))
 
     def __str__(self) -> str:
         return "".join(str(s) for s in self.symbols())
@@ -346,9 +340,6 @@ class Event:
                     return False
         return True
 
-    def is_decreasing(self) -> bool:
-        return self.complement().is_increasing()
-
 
 def cylinder(omega: Config, region: Iterable) -> Event:
     """The cylinder [omega]_K: configurations agreeing with omega on K."""
@@ -357,33 +348,31 @@ def cylinder(omega: Config, region: Iterable) -> Event:
     unknown = region - set(space.sites)
     if unknown:
         raise InvalidParams(f"unknown sites: {sorted(unknown, key=repr)}")
-    kmask = sum(1 << p for p, s in enumerate(space.sites) if s in region)
-    return Event(space, _cylinder_mask(space, omega.index, kmask))
+    positions = [p for p, s in enumerate(space.sites) if s in region]
+    return Event(space, _cylinder_mask(space, positions, [omega.values[p] for p in positions]))
 
 
-def _cylinder_mask(space: SiteSpace, index: int, kmask: int) -> int:
-    """Bitmask of configurations agreeing with configuration ``index`` on
-    the sites whose positions are set in ``kmask``."""
-    positions = [p for p in range(space.n) if kmask >> p & 1]
-    ref = space.values_at(index)
-    out = 0
-    for j in range(space.size):
-        vals = space.values_at(j)
-        if all(vals[p] == ref[p] for p in positions):
-            out |= 1 << j
+def _cylinder_mask(space: SiteSpace, positions: Iterable[int], values: Iterable[int]) -> int:
+    """Bitmask of configurations carrying value index ``values[j]`` at
+    position ``positions[j]`` for every j: an AND of value masks."""
+    out = (1 << space.size) - 1
+    for p, v in zip(positions, values):
+        out &= space.value_masks[p][v]
     return out
 
 
 @lru_cache(maxsize=None)
 def _cylinder_table(space: SiteSpace) -> tuple[tuple[int, ...], ...]:
-    """Entry [index][kmask] is ``_cylinder_mask(space, index, kmask)``.
+    """Entry [index][kmask] is the cylinder mask of configuration ``index``
+    on the positions set in ``kmask``.
 
     Size * 2^n masks, for the small spaces the occurrence layer boxes on;
     entry K of a row is entry K less its lowest position, cut by that
-    position's single-site cylinder."""
+    position's value mask."""
+    masks = space.value_masks
     table = []
     for i in range(space.size):
-        single = [_cylinder_mask(space, i, 1 << p) for p in range(space.n)]
+        single = [masks[p][v] for p, v in enumerate(space.values_at(i))]
         row = [(1 << space.size) - 1]
         for k in range(1, 1 << space.n):
             low = k & -k
@@ -461,9 +450,6 @@ class Measure:
             den = lcm(den, w.denominator)
         nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
         return nums, den
-
-    def prob_index(self, i: int) -> Fraction:
-        return self.weights[i]
 
     def prob(self, event: Event) -> Fraction:
         _require_same_space(self.space, event.space)

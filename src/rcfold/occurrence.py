@@ -32,7 +32,7 @@ from .measures import (
     normalize,
     weight_summer,
 )
-from .rcr import RcrBase, _compatible_index, clusters, predicates, verify_rcr
+from .rcr import RcrBase, _compatible_mask, clusters, predicates, verify_rcr
 
 
 def _witness_set(cylinders: tuple[int, ...], mask: int) -> int:
@@ -238,11 +238,16 @@ def induced_rule(rule: SelectionRule, space: SiteSpace, spec: FoldSpec) -> Selec
     conditioned sites (so a witness pair need not re-certify the
     conditioning), the configuration is lifted through alpha and beta,
     the original rule runs there, and each witness pair is intersected
-    with the surviving sites. With this reading, on a binary space, the
-    full rule induces the full rule of the smaller space, and the slice of
-    a box is always contained in the box of the slices.
+    with the surviving sites. With this reading the full rule induces the
+    full rule of the smaller space, and the slice of a box is always
+    contained in the box of the slices. Both fail when a surviving site has
+    more than two symbols (a witness must then pin it on both sides), so
+    such a window raises NonBinaryAlphabet.
     """
-    return _pushed_rule(rule, fold_window(space, spec))
+    window = fold_window(space, spec)
+    if any(space.radices[p] > 2 for p in range(space.n) if window.co_mask >> p & 1):
+        raise NonBinaryAlphabet("rules are pushed through folds whose surviving sites are binary")
+    return _pushed_rule(rule, window)
 
 
 def _pushed_rule(rule: SelectionRule, window: FoldWindow) -> SelectionRule:
@@ -294,8 +299,9 @@ def check_disjoint_cluster_bound(
     kept_pairs = [rule.select(a, b, omega) for omega in boxed_configs]
     for eta, _ in base.atoms:
         comps = [c for c in clusters(eta) if len(c) > 1]
+        compat = _compatible_mask(eta)
         for omega, pairs in zip(boxed_configs, kept_pairs):
-            if not _compatible_index(eta, omega.values):
+            if not compat >> omega.index & 1:
                 continue
             if not any(
                 all(not (c & k and c & l) for c in comps) for k, l in pairs

@@ -9,10 +9,13 @@ when
     P(w) = (1/Z) * sum over assignments compatible with w of their weight,
 
 compatibility meaning that w restricted to every bond lies in the bond's
-state. The module also provides the structural predicates used by the
-association pipelines, the point-mass base built from a symmetric
-join/meet-closed support, the uniform base over complete pairings, and the
-classic two-state edge base for agreement-weighted (Ising-type) measures.
+state. Compatibility is one bitmask over configuration indices: the AND
+over bonds of the OR, over the bond's state, of the AND of the space's value
+masks. Site agreement is read off the same masks. The module also provides
+the structural predicates used by the association pipelines, the point-mass
+base built from a symmetric join/meet-closed support, the uniform base over
+complete pairings, and the classic two-state edge base for
+agreement-weighted (Ising-type) measures.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from .measures import (
     Event,
     Measure,
     SiteSpace,
+    _cylinder_mask,
     as_fraction,
     normalize,
     sup_distance,
@@ -100,9 +104,6 @@ class BondStateAssignment:
     def is_active(self, i: int) -> bool:
         return len(self.states[i]) != self.structure.bond_space_size(i)
 
-    def active_bonds(self) -> tuple[tuple, ...]:
-        return tuple(b for i, b in enumerate(self.structure.bonds) if self.is_active(i))
-
     def sort_key(self) -> tuple:
         return tuple(tuple(sorted(s)) for s in self.states)
 
@@ -133,33 +134,35 @@ def compatible(eta: BondStateAssignment, omega: Config) -> bool:
     """True iff omega restricted to every bond lies in that bond's state."""
     if eta.structure.space != omega.space:
         raise SpaceMismatch("assignment and configuration on different spaces")
-    return _compatible_index(eta, omega.values)
+    return bool(_compatible_mask(eta) >> omega.index & 1)
 
 
-def _compatible_index(eta: BondStateAssignment, values: tuple[int, ...]) -> bool:
+def _compatible_mask(eta: BondStateAssignment) -> int:
+    """Bitmask of the configuration indices compatible with eta: the AND
+    over bonds of the union of the (disjoint) cylinders of the state's tuples."""
+    space = eta.structure.space
+    out = (1 << space.size) - 1
     for positions, state in zip(eta.structure.bond_positions, eta.states):
-        if tuple(values[p] for p in positions) not in state:
-            return False
-    return True
-
-
-def _induced_raw(base: RcrBase) -> list[Fraction]:
-    space = base.structure.space
-    out = [Fraction(0)] * space.size
-    for i in range(space.size):
-        vals = space.values_at(i)
-        for eta, w in base.atoms:
-            if _compatible_index(eta, vals):
-                out[i] += w
+        out &= sum(_cylinder_mask(space, positions, local) for local in state)
     return out
+
+
+def _agree_mask(space: SiteSpace, u: int, v: int) -> int:
+    """Bitmask of the configuration indices with equal values at positions
+    u and v: the union of the (disjoint) value-mask intersections."""
+    return sum(a & b for a, b in zip(space.value_masks[u], space.value_masks[v]))
 
 
 def induced_measure(base: RcrBase) -> Measure:
     """The measure represented by a base, normalized over all configurations."""
-    raw = _induced_raw(base)
+    space = base.structure.space
+    raw = [Fraction(0)] * space.size
+    for eta, w in base.atoms:
+        for i in Event(space, _compatible_mask(eta)).indices():
+            raw[i] += w
     if not any(raw):
         raise NoCompatiblePair("no configuration is compatible with any atom")
-    return normalize(base.structure.space, raw)
+    return normalize(space, raw)
 
 
 @dataclass(frozen=True)
@@ -305,10 +308,9 @@ def construct_uniform_symmetric_rcr(d: Event) -> RcrBase:
         raise PreconditionFailed("; ".join(failures))
 
     struct = HyperbondStructure.all_pairs(space)
-    members = list(d.configs())
     states = []
     for i, (pu, pv) in enumerate(struct.bond_positions):
-        if all(c.values[pu] == c.values[pv] for c in members):
+        if not d.mask & ~_agree_mask(space, pu, pv):
             states.append(frozenset({(0, 0), (1, 1)}))
         else:
             states.append(struct.full_state(i))
@@ -337,12 +339,9 @@ def check_sublattice(lattice: Event) -> SublatticeFlags:
         raise NonBinaryAlphabet("sublattice flags are defined on binary spaces")
     sub = _join_meet_closed(lattice)
     sym = lattice.bar() == lattice
-    members = list(lattice.configs())
-    separates = bool(members)
-    for i, j in combinations(range(space.n), 2):
-        if not any(c.values[i] != c.values[j] for c in members):
-            separates = False
-            break
+    separates = bool(lattice.mask) and all(
+        lattice.mask & ~_agree_mask(space, i, j) for i, j in combinations(range(space.n), 2)
+    )
     full = lattice.mask == (1 << space.size) - 1
     if sub and sym and separates and not full:
         raise RcfoldError("separation lemma violated: proper symmetric separating sublattice")
@@ -448,17 +447,12 @@ def ising_measure(spec: IsingSpec) -> Measure:
     space = spec.space
     pos = space.site_pos
     fields = spec.fields or tuple(Fraction(1) for _ in spec.vertices)
-    raw = []
-    for i in range(space.size):
-        vals = space.values_at(i)
-        w = Fraction(1)
-        for u, v, x in spec.edges:
-            if vals[pos[u]] == vals[pos[v]]:
-                w *= x
-        for f, val in zip(fields, vals):
-            if val == 1:
-                w *= f
-        raw.append(w)
+    factors = [(_agree_mask(space, pos[u], pos[v]), x) for u, v, x in spec.edges]
+    factors += [(ones, f) for (_, ones), f in zip(space.value_masks, fields)]
+    raw = [Fraction(1)] * space.size
+    for mask, x in factors:
+        for i in Event(space, mask).indices():
+            raw[i] *= x
     return normalize(space, raw)
 
 
@@ -512,10 +506,7 @@ def ising_build(spec: IsingSpec) -> IsingBuild:
     direct = []
     for eta, _ in fk_all:
         w = atom_weight.get(eta.states, Fraction(0))
-        n_compat = sum(
-            1 for i in range(space.size) if _compatible_index(eta, space.values_at(i))
-        )
-        direct.append(w * n_compat)
+        direct.append(w * _compatible_mask(eta).bit_count())
     z_direct = sum(direct)
     for (eta, closed), raw in zip(fk, direct):
         if closed != raw / z_direct:

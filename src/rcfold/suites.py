@@ -78,8 +78,8 @@ class RunConfig:
     only: int | None = None
 
     def __post_init__(self):
-        if self.seed < 0 or self.jobs < 1:
-            raise RcfoldError("seed must be nonnegative and jobs positive")
+        if self.seed < 0 or self.jobs < 1 or min(self.instances or 0, self.only or 0) < 0:
+            raise RcfoldError("seed, instances and only must be nonnegative and jobs positive")
 
 
 def _iseed(master: int, part: int, i: int) -> int:
@@ -412,9 +412,9 @@ def connected_graphs(vmax: int):
 
 
 def _assemble(suite: str, cfg: RunConfig, params: dict, worker, specs) -> dict:
-    ids = list(range(len(specs)))
-    if cfg.only is not None:
-        ids = [i for i in ids if i == cfg.only]
+    if cfg.only is not None and cfg.only >= len(specs):
+        raise RcfoldError(f"{suite} has {len(specs)} rows; only={cfg.only} names none")
+    ids = list(range(len(specs))) if cfg.only is None else [cfg.only]
     rows = pmap(worker, [specs[i] for i in ids], cfg.jobs)
     instances = []
     failed = 0

@@ -6,7 +6,7 @@ and stays ignorant of the library's internal shortcuts.
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 
-from rcfold import Event, Measure, SiteSpace, cylinder, normalize
+from rcfold import Event, Measure, SiteSpace, normalize
 
 
 def brute_upset_masks(n: int) -> list[int]:
@@ -28,6 +28,17 @@ def brute_upset_masks(n: int) -> list[int]:
         if ok:
             out.append(mask)
     return out
+
+
+def brute_cylinder(w, region) -> Event:
+    """The configurations agreeing with w on every site of region, found by
+    comparing value tuples."""
+    space = w.space
+    pos = [space.site_pos[s] for s in region]
+    return Event.from_configs(
+        space,
+        (u for u in space.iter_configs() if all(u.values[p] == w.values[p] for p in pos)),
+    )
 
 
 def square_renormalize(m: Measure) -> Measure:
@@ -58,8 +69,8 @@ def scoped_na_check(m: Measure) -> bool:
                 region = [site_list[q] for q in range(n) if nmask >> q & 1]
                 co_region = [site_list[q] for q in range(n) if not nmask >> q & 1]
                 if all(
-                    cylinder(w, region).is_subset(a)
-                    and cylinder(w, co_region).is_subset(b)
+                    brute_cylinder(w, region).is_subset(a)
+                    and brute_cylinder(w, co_region).is_subset(b)
                     for w in inter.configs()
                 ):
                     in_scope = True
@@ -180,8 +191,52 @@ def brute_box(a: Event, b: Event, keep) -> Event:
     ]
     members = []
     for w in space.iter_configs():
-        ks = [k for k in subsets if cylinder(w, k).is_subset(a)]
-        ls = [l for l in subsets if cylinder(w, l).is_subset(b)]
+        ks = [k for k in subsets if brute_cylinder(w, k).is_subset(a)]
+        ls = [l for l in subsets if brute_cylinder(w, l).is_subset(b)]
         if any(not k & l and keep(w, k, l) for k in ks for l in ls):
             members.append(w.index)
     return Event.from_indices(space, members)
+
+
+def brute_induced_measure(base):
+    """The measure a cluster base represents, from its definition.
+
+    A configuration is compatible with an atom when, at every bond, its
+    values at the bond's sites form a tuple inside the bond's state; its
+    weight is the total weight of the compatible atoms. None when no
+    configuration is compatible with any atom.
+    """
+    struct = base.structure
+    space = struct.space
+
+    def compatible(eta, w):
+        return all(
+            tuple(w.values[space.site_pos[s]] for s in bond) in state
+            for bond, state in zip(struct.bonds, eta.states)
+        )
+
+    raw = [
+        sum((weight for eta, weight in base.atoms if compatible(eta, w)), Fraction(0))
+        for w in space.iter_configs()
+    ]
+    return normalize(space, raw) if any(raw) else None
+
+
+def brute_sublattice_flags(event: Event) -> tuple:
+    """(sublattice, symmetric, separates_points, equals_full) of a subset of
+    a binary cube, from value tuples: join and meet are the coordinatewise
+    max and min, reversal maps each value v to 1 - v, and a subset
+    separates points when it is nonempty and, for every two sites, some
+    member holds different values there."""
+    space = event.space
+    members = {c.values for c in event.configs()}
+    closed = all(
+        tuple(map(max, u, v)) in members and tuple(map(min, u, v)) in members
+        for u in members
+        for v in members
+    )
+    symmetric = {tuple(1 - x for x in u) for u in members} == members
+    separates = bool(members) and all(
+        any(u[i] != u[j] for u in members) for i, j in combinations(range(space.n), 2)
+    )
+    return closed, symmetric, separates, len(members) == space.size

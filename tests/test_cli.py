@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from rcfold.cli import main
 from rcfold.serialize import dumps_canonical, measure_to_json
 from rcfold.suites import RunConfig, run_suite, render_report
@@ -315,6 +317,24 @@ class TestSuiteCommand:
     def test_suite_unwritable_out_is_usage_error(self, tmp_path, capsys):
         args = ["suite", "bk-sanity", "--instances", "1"]
         self.assert_unwritable_out(args, tmp_path, capsys)
+
+    @staticmethod
+    def assert_one_error_line(args, capsys):
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["RCFOLD_SEED", "RCFOLD_JOBS", "RCFOLD_CAP_SITES"])
+    def test_non_integer_env_is_usage_error(self, name, capsys, monkeypatch):
+        monkeypatch.setenv(name, "abc")
+        self.assert_one_error_line(["gen", "random_fkg", "--sites", "2"], capsys)
+
+    def test_negative_instances_is_usage_error(self, capsys):
+        self.assert_one_error_line(["suite", "bk-sanity", "--instances", "-3"], capsys)
+
+    def test_only_naming_no_row_is_usage_error(self, capsys):
+        self.assert_one_error_line(["suite", "bk-sanity", "--only", "99"], capsys)
 
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RCFOLD_SEED", "12")

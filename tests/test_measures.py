@@ -22,13 +22,22 @@ from rcfold import (
 )
 from rcfold.serialize import measure_from_json, measure_to_json
 
-from oracles import brute_upset_masks
+from oracles import brute_cylinder, brute_upset_masks
 
 F = Fraction
 
 
 def binary(n):
     return SiteSpace.binary(range(1, n + 1))
+
+
+MIXED_SPACES = (
+    SiteSpace((1, 2, 3), ((0, 1, 2), (0, 1), (0, 1, 2))),
+    SiteSpace(("a", "b"), (("w", "x", "y", "z"), (0, 1, 2))),
+    SiteSpace((1, 2, 3), ((0, 1), ("only",), (0, 1, 2))),
+    SiteSpace((), ()),
+)
+MIXED_IDS = ("radix323", "radix43", "radix1", "n0")
 
 
 class TestNormalize:
@@ -148,7 +157,7 @@ class TestUpsets:
         for e in enumerate_upsets(binary(3)):
             barred = e.bar()
             assert barred.bar() == e
-            assert barred.is_decreasing()
+            assert barred.complement().is_increasing()
 
 
 class TestSupDistance:
@@ -183,6 +192,24 @@ class TestEvents:
     def test_cylinder_empty_region_is_full(self):
         sp = binary(2)
         assert cylinder(sp.config([0, 1]), []).count == 4
+
+    @pytest.mark.parametrize("sp", MIXED_SPACES, ids=MIXED_IDS)
+    def test_value_masks_match_values_at(self, sp):
+        assert len(sp.value_masks) == sp.n
+        for p, r in enumerate(sp.radices):
+            assert len(sp.value_masks[p]) == r
+            for v in range(r):
+                expect = sum(1 << i for i in range(sp.size) if sp.values_at(i)[p] == v)
+                assert sp.value_masks[p][v] == expect
+
+    @pytest.mark.parametrize("sp", MIXED_SPACES, ids=MIXED_IDS)
+    def test_cylinders_match_the_definition(self, sp):
+        regions = [
+            [s for q, s in enumerate(sp.sites) if k >> q & 1] for k in range(1 << sp.n)
+        ]
+        for w in sp.iter_configs():
+            for region in regions:
+                assert cylinder(w, region) == brute_cylinder(w, region)
 
     def test_bar_involution_general(self):
         sp = SiteSpace((1, 2), ((0, 1, 2), (0, 1)))

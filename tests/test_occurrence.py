@@ -7,6 +7,7 @@ from rcfold import (
     Event,
     FoldSpec,
     Measure,
+    NonBinaryAlphabet,
     PreconditionFailed,
     SiteSpace,
     box,
@@ -39,7 +40,7 @@ def binary(n):
 
 
 def coord_event(sp, site, value):
-    return Event.from_predicate(sp, lambda c: c.value_at(site) == value)
+    return Event.from_predicate(sp, lambda c: c.values[sp.site_pos[site]] == value)
 
 
 class TestDisjointPairs:
@@ -154,6 +155,11 @@ ORACLE_SPACES = (binary(1), binary(2), binary(3), SiteSpace((1, 2), ((0, 1, 2), 
 ORACLE_IDS = ("binary1", "binary2", "binary3", "radix32")
 
 
+def _keeps_a_wide_site(sp, window):
+    """Whether a site with more than two symbols survives the fold."""
+    return any(sp.radices[sp.site_pos[s]] > 2 for s in window.folded_space.sites)
+
+
 def _event_pairs(sp, count, seed=0):
     """``count`` seeded event pairs, or every pair when there are no more."""
     full = (1 << sp.size) - 1
@@ -179,6 +185,10 @@ class TestBoxOracle:
         for spec in _first_fold_specs(sp):
             window = fold_window(sp, spec)
             for make, keep in RULES_AND_KEEPS:
+                if _keeps_a_wide_site(sp, window):
+                    with pytest.raises(NonBinaryAlphabet):
+                        induced_rule(make(), sp, spec)
+                    continue
                 pushed = induced_rule(make(), sp, spec)
                 for a, b in _event_pairs(window.folded_space, 12, seed=len(spec.k_sites)):
                     expect = brute_box(window.extend_event(a), window.extend_event(b), keep)
@@ -187,13 +197,28 @@ class TestBoxOracle:
     @pytest.mark.parametrize("sp", ORACLE_SPACES, ids=ORACLE_IDS)
     def test_box_is_where_select_keeps_a_pair(self, sp):
         rules = [make() for make, _ in RULES_AND_KEEPS]
-        spec = next(iter(_first_fold_specs(sp)))
+        spec = next(
+            s for s in _first_fold_specs(sp) if not _keeps_a_wide_site(sp, fold_window(sp, s))
+        )
         folded = fold_window(sp, spec).folded_space
         for r in rules:
             for space, rule in ((sp, r), (folded, induced_rule(r, sp, spec))):
                 for a, b in _event_pairs(space, 12, seed=3):
                     expect = Event.from_predicate(space, lambda w: bool(rule.select(a, b, w)))
                     assert box_with_rule(a, b, rule) == expect
+
+
+    def test_pushing_raises_exactly_where_a_three_symbol_site_survives(self):
+        sp = ORACLE_SPACES[-1]
+        specs = list(_first_fold_specs(sp))
+        raising = []
+        for spec in specs:
+            try:
+                induced_rule(full_rule(), sp, spec)
+            except NonBinaryAlphabet:
+                raising.append(spec)
+        assert len(specs) == 18 and len(raising) == 9
+        assert raising == [s for s in specs if 1 not in s.k_sites]
 
 
 class TestEventSlice:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,6 +27,8 @@ from rcfold import (
     predicates,
     verify_rcr,
 )
+
+from oracles import brute_induced_measure, brute_sublattice_flags
 
 F = Fraction
 DIAG = frozenset({(0, 0), (1, 1)})
@@ -104,6 +107,61 @@ class TestInducedMeasure:
             for w in binary(2).iter_configs()
         ]
         assert induced_measure(mixed) == normalize(binary(2), raw)
+
+
+def random_base(struct, seed, atoms=4):
+    """The all-full and the all-empty atom plus up to ``atoms`` - 2 more whose
+    bond states are seeded random subsets of the bond's local tuples."""
+    rng = random.Random(seed)
+    locals_ = [sorted(struct.full_state(i)) for i in range(len(struct.bonds))]
+    etas = {
+        BondStateAssignment(struct, tuple(frozenset(ts) for ts in locals_)),
+        BondStateAssignment(struct, tuple(frozenset() for _ in locals_)),
+    }
+    for _ in range(atoms - 2):
+        etas.add(
+            BondStateAssignment(
+                struct,
+                tuple(frozenset(t for t in ts if rng.getrandbits(1)) for ts in locals_),
+            )
+        )
+    etas = sorted(etas, key=BondStateAssignment.sort_key)
+    raw = [rng.randint(1, 5) for _ in etas]
+    return RcrBase(struct, tuple((eta, F(w, sum(raw))) for eta, w in zip(etas, raw)))
+
+
+def assert_induces_as_defined(base):
+    expect = brute_induced_measure(base)
+    if expect is None:
+        with pytest.raises(NoCompatiblePair):
+            induced_measure(base)
+    else:
+        assert induced_measure(base) == expect
+
+
+class TestInducedMeasureOracle:
+    def test_ising_and_pairing_bases(self):
+        for n in range(4):
+            assert_induces_as_defined(complete_pairing_base(binary(n)))
+        for edges in [((1, 2, F(2)),), ((1, 2, F(3)), (2, 3, F(5, 2))), ((1, 3, F(2)),)]:
+            spec = IsingSpec((1, 2, 3), edges)
+            assert_induces_as_defined(ising_build(spec).base)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_binary_bases(self, n):
+        sites = range(1, n + 1)
+        structures = [HyperbondStructure(binary(n), ((s,) for s in sites)), pair_struct(n)]
+        if n == 3:
+            structures.append(HyperbondStructure(binary(3), ((1, 2, 3), (1, 3))))
+        for k, struct in enumerate(structures):
+            for seed in range(12):
+                assert_induces_as_defined(random_base(struct, 100 * k + seed))
+
+    def test_mixed_radix_with_a_three_site_bond(self):
+        sp = SiteSpace((1, 2, 3), ((0, 1, 2), (0, 1), (0, 1, 2)))
+        struct = HyperbondStructure(sp, ((3, 1, 2), (1, 3), (2,)))
+        for seed in range(12):
+            assert_induces_as_defined(random_base(struct, seed, atoms=3))
 
 
 class TestInducedInvariants:
@@ -279,8 +337,17 @@ class TestSublattice:
         sp = binary(m)
         for mask in range(1 << sp.size):
             flags = check_sublattice(Event(sp, mask))  # raises on a violation
+            assert tuple(vars(flags).values()) == brute_sublattice_flags(Event(sp, mask))
             if flags.sublattice and flags.symmetric and flags.separates_points:
                 assert flags.equals_full
+
+    def test_seeded_subsets_of_the_four_cube(self):
+        sp = binary(4)
+        rng = random.Random(4)
+        for _ in range(200):
+            event = Event(sp, rng.getrandbits(sp.size))
+            flags = check_sublattice(event)
+            assert tuple(vars(flags).values()) == brute_sublattice_flags(event)
 
 
 class TestCompletePairing:

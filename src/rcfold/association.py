@@ -36,9 +36,9 @@ from .folding import (
     FoldPath,
     FoldSpec,
     _defined_folds,
-    _first_fold_specs,
+    _extension_folds,
+    _first_folds,
     _limit_from_nums,
-    iter_essential_branches,
 )
 from .measures import (
     UPSET_CAP,
@@ -127,7 +127,7 @@ def is_fkg_via_foldings(p: Measure) -> AssociationReport:
     _require_binary(p.space, "the folded lattice condition")
     nums, _ = p.int_weights
     checked = 0
-    for window, fnums in _defined_folds(p.space, nums, _first_fold_specs(p.space)):
+    for window, fnums in _defined_folds(nums, _first_folds(p.space)):
         checked += 1
         top = max(fnums)
         if fnums[-1] != top:
@@ -290,7 +290,7 @@ def is_nfkg(p: Measure) -> AssociationReport:
     """Balanced configurations are maxima of every defined folding."""
     _require_binary(p.space, "the negative lattice condition")
     nums, _ = p.int_weights
-    witness = _nfkg_violation(_defined_folds(p.space, nums, _first_fold_specs(p.space)))
+    witness = _nfkg_violation(_defined_folds(nums, _first_folds(p.space)))
     # a binary space has 3^n first folds: each site is conditioned to 0 or 1, or kept
     return AssociationReport(witness is None, witness, {"foldings": 3 ** p.space.n})
 
@@ -305,7 +305,7 @@ def is_snfkg(p: Measure, check_closure: bool = True) -> AssociationReport:
     """
     _require_binary(p.space, "the strict negative lattice condition")
     nums, _ = p.int_weights
-    folds = list(_defined_folds(p.space, nums, _first_fold_specs(p.space)))
+    folds = list(_defined_folds(nums, _first_folds(p.space)))
     witness = _snfkg_violation(folds)
     log = {"foldings": 3 ** p.space.n}
     if witness is not None:
@@ -315,7 +315,7 @@ def is_snfkg(p: Measure, check_closure: bool = True) -> AssociationReport:
             raise RcfoldError("strict condition without the weak one")
         for window, fnums in folds:
             fspace = window.folded_space
-            refolds = _defined_folds(fspace, fnums, _first_fold_specs(fspace))
+            refolds = _defined_folds(fnums, _first_folds(fspace))
             if _snfkg_violation(refolds) is not None:
                 raise RcfoldError("strict condition not preserved by a folding")
     return AssociationReport(True, None, log)
@@ -343,20 +343,50 @@ class PipelineReport:
 def _distinct_limits(p: Measure) -> tuple[int, list[tuple[str, BranchLimit]]]:
     """Walk every essential branch of p; return the branch count and, for
     each distinct terminal weight vector up to a common factor, the first
-    branch reaching it and its limit."""
-    branches = 0
-    seen = set()
-    limits = []
-    for path, space, nums in iter_essential_branches(p):
-        branches += 1
-        g = 0
-        for w in nums:
-            g = gcd(g, w)
-        key = space.sites, tuple(w // g for w in nums)
-        if key not in seen:
-            seen.add(key)
-            limits.append((describe_path(path), _limit_from_nums(space, nums, len(path))))
+    branch reaching it and its limit.
+
+    The walk is memoised. A node of the folding tree is keyed on its folded
+    sites and gcd-reduced weights, the same key as its limit, and nothing
+    else shapes its subtree: the sites fix the extension windows, and
+    scaling the weights changes neither which folds below are defined nor
+    any reduced key. So a node whose key was met before adds the stored
+    branch count of its subtree and is not descended. Its first copy had
+    been walked in full, since descendants have fewer sites than their
+    node, so every key below the repeat is already recorded: skipping it
+    changes neither the branch count nor which branch first reaches each
+    limit, and the limits come out in the depth-first order of
+    ``iter_essential_branches``. Each distinct folded space resolves its
+    extension windows once, in a table local to the walk.
+    """
+    counts: dict = {}
+    limits: list = []
+    branches = _walk(p.int_weights[0], (), _first_folds(p.space), {}, counts, limits)
     return branches, limits
+
+
+def _walk(nums, path, windows, table, counts, limits) -> int:
+    """Branch count below one node of the folding tree (see
+    ``_distinct_limits``), appending each limit met for the first time.
+
+    ``table`` maps a folded space's sites to its extension windows;
+    ``counts`` maps each node key met so far to its subtree's branch count
+    (0 while that subtree is being walked).
+    """
+    total = 0
+    for window, sub in _defined_folds(nums, windows):
+        space, sub_path = window.folded_space, path + (window.spec,)
+        g = gcd(*sub)
+        key = space.sites, tuple(w // g for w in sub)
+        count = counts.get(key)
+        if count is None:
+            counts[key] = 0
+            limits.append((describe_path(sub_path), _limit_from_nums(space, sub, len(sub_path))))
+            extensions = table.get(space.sites)
+            if extensions is None:
+                extensions = table[space.sites] = list(_extension_folds(space))
+            count = counts[key] = 1 + _walk(sub, sub_path, extensions, table, counts, limits)
+        total += count
+    return total
 
 
 def fkg_theorem_pipeline(p: Measure, cap: int = BRANCH_CAP) -> PipelineReport:

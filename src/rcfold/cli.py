@@ -8,10 +8,12 @@ bounds, ``check`` and ``pipeline`` run the association machinery, and
 requested verdict holds, 1 when it fails, and 2 on a usage error, which
 includes an input file that cannot be opened or parsed, an ``--out``
 file that cannot be written, a non-integer RCFOLD_SEED, RCFOLD_JOBS or
-RCFOLD_CAP_SITES, and a suite ``--instances`` or ``--only`` that is
-negative or names no row. Flags fall back to RCFOLD_* environment
-variables (RCFOLD_SEED, RCFOLD_JOBS, RCFOLD_OUT, RCFOLD_CAP_SITES).
-``--cap-sites`` caps the site count of ``check pa`` and ``check na`` only.
+RCFOLD_CAP_SITES, a ``gen`` number that does not parse, and a suite
+``--instances`` or ``--only`` that is negative or names no row. Flags
+fall back to RCFOLD_* environment variables (RCFOLD_SEED, RCFOLD_JOBS,
+RCFOLD_OUT, RCFOLD_CAP_SITES).
+``--cap-sites`` caps the site count of ``check pa``, ``check na`` and every
+``gen`` kind that takes ``--sites``.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .association import (
     levels_from_measure,
     snfkg_limit_rcr,
 )
-from .errors import InvalidParams, RcfoldError
+from .errors import CapExceeded, InvalidParams, RcfoldError
 from .folding import branch_limit, fold_path
 from .generators import (
     exchangeable_measure,
@@ -104,6 +106,14 @@ def _emit(obj, out: str | None) -> None:
         raise InvalidParams(f"cannot write {out}: {type(exc).__name__}: {exc}") from exc
 
 
+def _number(text: str, flag: str) -> Fraction:
+    """A rational from the command line; a malformed one is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParams(f"{flag}: {text!r} is not a number") from None
+
+
 def _parse_edges(text: str):
     """Edge list syntax: '1-2:2,2-3:5/2' (weight defaults to 2)."""
     edges = []
@@ -113,18 +123,20 @@ def _parse_edges(text: str):
             continue
         uv, _, x = part.partition(":")
         u, _, v = uv.partition("-")
-        weight = Fraction(x) if x else Fraction(2)
+        weight = _number(x, "--edges") if x else Fraction(2)
         u, v = u.strip(), v.strip()
         edges.append((int(u) if u.isdigit() else u, int(v) if v.isdigit() else v, weight))
     return edges
 
 
 def _cmd_gen(args) -> int:
+    if args.kind != "ising" and args.sites > args.cap_sites:
+        raise CapExceeded(f"--sites {args.sites} exceeds cap {args.cap_sites}")
     if args.kind == "ising":
         spec = ising_spec_from_edge_list(_parse_edges(args.edges))
         measure = ising_measure(spec)
     elif args.kind == "exchangeable":
-        levels = [Fraction(x) for x in args.levels.split(",")]
+        levels = [_number(x, "--levels") for x in args.levels.split(",")]
         measure = exchangeable_measure(args.sites, levels)
     elif args.kind == "random_fkg":
         measure = random_fkg_measure(args.sites, args.seed)

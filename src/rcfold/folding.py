@@ -21,12 +21,21 @@ configuration of folded index f lifts to ``lift[-1 - f]``, so a fold is
 ``nums[lift[f]] * nums[lift[-1 - f]]`` per f. Slicing an event, lifting a
 configuration and extending a folded event back over the conditioned sites
 all read the same table.
+
+The essential branches form a tree: a first fold, then nonempty-K steps,
+each removing at least one site. The pipelines walk it memoised
+(``association._distinct_limits``): a node's folded sites and gcd-reduced
+weights fix its subtree, so a node met again adds the branch count stored
+for its first copy instead of being descended. The first copy's subtree
+was walked in full before the repeat is met, so limits are first reached
+in the order of ``iter_essential_branches``, the plain stream of every
+branch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import combinations, islice, product as iter_product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, FoldingUndefined, InvalidParams
@@ -217,10 +226,9 @@ def fold_window(space: SiteSpace, spec: FoldSpec) -> FoldWindow:
     return FoldWindow.resolve(space, spec)
 
 
-def _defined_folds(space: SiteSpace, nums: Sequence[int], specs: Iterable[FoldSpec]):
-    """(window, folded weights) for each spec whose fold is defined."""
-    for spec in specs:
-        window = FoldWindow.resolve(space, spec)
+def _defined_folds(nums: Sequence[int], windows: Iterable[FoldWindow]):
+    """(window, folded weights) for each window whose fold of nums is defined."""
+    for window in windows:
         try:
             folded = window.fold(nums)
         except FoldingUndefined:
@@ -306,12 +314,35 @@ def check_convergence_bound(
     ell = max(len(steps), 1)
     if i <= ell:
         raise InvalidParams(f"iterate index {i} must exceed the prefix length {ell}")
+    _, checks = _convergence_checks(p, steps)
+    return next(islice(checks, i - ell - 1, None))
+
+
+def _convergence_checks(
+    p: Measure, steps: tuple[FoldSpec, ...]
+) -> tuple[BranchLimit, Iterator[ConvergenceCheck]]:
+    """The branch limit of a prefix and the stream of its convergence checks.
+
+    The stream yields the ``check_convergence_bound`` result for i = L + 1,
+    L + 2, ... in turn. The prefix is folded once, and one empty-K window
+    squares every iterate: its lift is the identity on a binary space, so
+    the window of the first square serves all later ones.
+    """
     space, nums = _fold_prefix(p.space, p.int_weights[0], steps)
-    limit = _limit_from_nums(space, nums, ell)
-    iterate = normalize(*_fold_prefix(space, nums, [FoldSpec((), ())] * (i - ell)))
-    distance = sup_distance(iterate, limit.measure)
-    bound = p.space.size * limit.ratio ** (2 ** (i - ell))
-    return ConvergenceCheck(distance, bound, distance <= bound)
+    limit = _limit_from_nums(space, nums, max(len(steps), 1))
+    square = FoldWindow.resolve(space, FoldSpec((), ()))
+    size = p.space.size
+
+    def checks():
+        iterate, power = nums, 2
+        while True:
+            iterate = square.fold(iterate)
+            distance = sup_distance(normalize(square.folded_space, iterate), limit.measure)
+            bound = size * limit.ratio ** power
+            yield ConvergenceCheck(distance, bound, distance <= bound)
+            power *= 2
+
+    return limit, checks()
 
 
 def _first_fold_specs(space: SiteSpace) -> Iterator[FoldSpec]:
@@ -337,13 +368,18 @@ def _first_fold_specs(space: SiteSpace) -> Iterator[FoldSpec]:
                 yield FoldSpec(k_sites, alpha, beta)
 
 
-def _extension_specs(space: SiteSpace) -> Iterator[FoldSpec]:
-    """All nonempty-K binary steps available on a folded space."""
+def _first_folds(space: SiteSpace) -> Iterator[FoldWindow]:
+    """Windows of every first fold of a space, resolved lazily in canonical order."""
+    return (FoldWindow.resolve(space, spec) for spec in _first_fold_specs(space))
+
+
+def _extension_folds(space: SiteSpace) -> Iterator[FoldWindow]:
+    """Windows of every nonempty-K binary step available on a folded space."""
     n = space.n
     for kmask in range(1, 1 << n):
         k_sites = tuple(space.sites[p] for p in range(n) if kmask >> p & 1)
         for alpha in iter_product((0, 1), repeat=len(k_sites)):
-            yield FoldSpec(k_sites, alpha)
+            yield FoldWindow.resolve(space, FoldSpec(k_sites, alpha))
 
 
 def iter_essential_branches(
@@ -353,23 +389,23 @@ def iter_essential_branches(
 
     Yields every defined essential prefix: a first fold, then nonempty-K
     steps. Prefix length is capped at max_len (default: one more than the
-    site count, which already exhausts every branch).
+    site count, which already exhausts every branch). Every branch is
+    folded afresh; the pipelines use the memoised walk instead (see the
+    module docstring).
     """
     if max_len is None:
         max_len = p.space.n + 1
     if max_len <= 0:
         return
 
-    def descend(space, nums, path, specs, depth):
-        for window, sub_nums in _defined_folds(space, nums, specs):
+    def descend(nums, path, windows, depth):
+        for window, sub_nums in _defined_folds(nums, windows):
             sub_space, sub_path = window.folded_space, path + (window.spec,)
             yield FoldPath(sub_path), sub_space, tuple(sub_nums)
             if depth < max_len:
-                yield from descend(
-                    sub_space, sub_nums, sub_path, _extension_specs(sub_space), depth + 1
-                )
+                yield from descend(sub_nums, sub_path, _extension_folds(sub_space), depth + 1)
 
-    yield from descend(p.space, p.int_weights[0], (), _first_fold_specs(p.space), 1)
+    yield from descend(p.int_weights[0], (), _first_folds(p.space), 1)
 
 
 def enumerate_essential_prefixes(

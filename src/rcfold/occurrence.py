@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import NonBinaryAlphabet, PreconditionFailed, SpaceMismatch
-from .folding import FoldSpec, FoldWindow, _defined_folds, _first_fold_specs, fold_window
+from .folding import FoldSpec, FoldWindow, _defined_folds, _first_folds, fold_window
 from .measures import (
     Config,
     Event,
@@ -354,7 +354,7 @@ def check_folding_hypothesis_bound(
 
     failures = []
     checked = 0
-    folds = _defined_folds(p.space, p.int_weights[0], _first_fold_specs(p.space))
+    folds = _defined_folds(p.int_weights[0], _first_folds(p.space))
     for window, fnums in folds:
         checked += 1
         folded = normalize(window.folded_space, fnums)

@@ -32,9 +32,8 @@ from .errors import RcfoldError
 from .folding import (
     FoldPath,
     FoldSpec,
+    _convergence_checks,
     _first_fold_specs,
-    branch_limit,
-    check_convergence_bound,
     essentialize,
     fold,
     fold_path,
@@ -167,11 +166,9 @@ def _converge_instance(args):
     detail = None
     tail_bound = Fraction(1, 10**9)
     for spec in _first_fold_specs(m.space):
-        prefix = [spec]
-        bl = branch_limit(m, prefix)
+        limit, stream = _convergence_checks(m, (spec,))
         last = None
-        for i in range(2, 8):  # L = 1 for a length-1 prefix
-            r = check_convergence_bound(m, prefix, i)
+        for i, r in zip(range(2, 8), stream):  # L = 1 for a length-1 prefix
             checks += 1
             if not r.ok:
                 ok = False
@@ -180,7 +177,7 @@ def _converge_instance(args):
             last = r
         if not ok:
             break
-        if bl.ratio <= Fraction(1, 2) and last is not None and last.distance >= tail_bound:
+        if limit.ratio <= Fraction(1, 2) and last is not None and last.distance >= tail_bound:
             ok = False
             detail = {"prefix": jsonable(FoldPath((spec,))), "tail_distance": last.distance}
             break

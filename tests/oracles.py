@@ -129,6 +129,34 @@ def recursive_essential_prefixes(m: Measure, max_len: int) -> set:
     return found
 
 
+def stream_distinct_limits(m: Measure):
+    """Branch count and first-reached distinct limits, by streaming every
+    essential branch through ``iter_essential_branches`` with no memo.
+
+    Returns (branches, [(branch name, BranchLimit)]) in the order the
+    depth-first stream first reaches each limit key: the folded sites and
+    the weights divided by their gcd.
+    """
+    from math import gcd
+
+    from rcfold.association import describe_path
+    from rcfold.folding import _limit_from_nums, iter_essential_branches
+
+    branches = 0
+    seen = set()
+    limits = []
+    for path, space, nums in iter_essential_branches(m):
+        branches += 1
+        g = 0
+        for w in nums:
+            g = gcd(g, w)
+        key = space.sites, tuple(w // g for w in nums)
+        if key not in seen:
+            seen.add(key)
+            limits.append((describe_path(path), _limit_from_nums(space, nums, len(path))))
+    return branches, limits
+
+
 def brute_fold(m: Measure, spec) -> Measure:
     """One folding step computed from its definition.
 

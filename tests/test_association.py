@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,16 @@ from rcfold import (
     snfkg_limit_rcr,
     sup_distance,
 )
+from rcfold.association import _distinct_limits
 from rcfold.folding import FoldingUndefined, _first_fold_specs
-from rcfold.generators import random_measure, random_nfkg_measure
+from rcfold.generators import (
+    random_fkg_measure,
+    random_measure,
+    random_nfkg_measure,
+    random_product_measure,
+)
 
-from oracles import scoped_na_check
+from oracles import scoped_na_check, stream_distinct_limits
 
 F = Fraction
 
@@ -204,6 +211,62 @@ class TestPipelines:
     def test_snfkg_pipeline_rejects_weak_input(self):
         with pytest.raises(PreconditionFailed):
             snfkg_limit_rcr(Measure.uniform(binary(2)))
+
+
+def sparse_measure(n, rng):
+    """Weights drawn from 0..3 with zeros twice as likely, at least one of
+    them zero: conditioning every site on a zero-weight configuration is an
+    undefined fold."""
+    while True:
+        weights = [rng.choice((0, 0, 1, 2, 3)) for _ in range(1 << n)]
+        if any(weights) and not all(weights):
+            return normalize(binary(n), weights)
+
+
+def walk_measures(family):
+    rng = random.Random(family)
+    if family == "empty":
+        return [Measure(binary(0), (F(1),))]
+    if family == "log-supermodular":
+        return [random_fkg_measure(n, seed) for n in range(1, 5) for seed in range(8)]
+    if family == "perturbed-product":
+        return [
+            perturb(random_product_measure(n, rng), F(1, 4))
+            for n in range(1, 5)
+            for _ in range(8)
+        ]
+    if family == "sparse":
+        return [sparse_measure(n, rng) for n in range(2, 5) for _ in range(12)]
+    return [
+        exchangeable_from_levels(ExchangeableLevels.from_weights(5, w))
+        for w in ([1, 2, 5, 5, 2, 1], [3, 0, 1, 1, 0, 3])
+    ]
+
+
+class TestDistinctLimits:
+    """The memoised walk against the plain stream over every branch: the
+    same branch count, and the same limits named by the same first branch,
+    in the same order."""
+
+    FAMILIES = {
+        "empty": 1,
+        "log-supermodular": 32,
+        "perturbed-product": 32,
+        "sparse": 36,
+        "exchangeable": 2,
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_the_stream_over_every_branch(self, family):
+        measures = walk_measures(family)
+        assert len(measures) == self.FAMILIES[family]
+        for m in measures:
+            assert _distinct_limits(m) == stream_distinct_limits(m)
+
+    def test_sparse_measures_have_undefined_folds(self):
+        full = {n: _distinct_limits(Measure.uniform(binary(n)))[0] for n in range(2, 5)}
+        measures = walk_measures("sparse")
+        assert all(_distinct_limits(m)[0] < full[m.space.n] for m in measures)
 
 
 class TestPerturb:

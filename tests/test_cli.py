@@ -336,6 +336,29 @@ class TestSuiteCommand:
     def test_only_naming_no_row_is_usage_error(self, capsys):
         self.assert_one_error_line(["suite", "bk-sanity", "--only", "99"], capsys)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen", "exchangeable", "--sites", "2", "--levels", "1,x"],
+            ["gen", "exchangeable", "--sites", "2", "--levels", "1,1/0"],
+            ["gen", "ising", "--edges", "1-2:x"],
+        ],
+        ids=["levels", "zero-denominator", "edges"],
+    )
+    def test_malformed_gen_number_is_usage_error(self, args, capsys):
+        self.assert_one_error_line(args, capsys)
+
+    @pytest.mark.parametrize("kind", ["random_fkg", "random_nfkg", "exchangeable", "uniform_subset"])
+    def test_gen_sites_over_the_cap_is_usage_error(self, kind, capsys):
+        code = main(["gen", kind, "--sites", "40"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --sites 40 exceeds cap 5\n"
+
+    def test_gen_sites_cap_is_the_cap_sites_flag(self, capsys):
+        code, out = run_cli(["--cap-sites", "6", "gen", "random_fkg", "--sites", "6"], capsys)
+        assert code == 0 and len(json.loads(out)["weights"]) == 64
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RCFOLD_SEED", "12")
         code, out = run_cli(["gen", "random_fkg", "--sites", "2"], capsys)

@@ -8,8 +8,8 @@ bounds, ``check`` and ``pipeline`` run the association machinery, and
 requested verdict holds, 1 when it fails, and 2 on a usage error, which
 includes an input file that cannot be opened or parsed, an ``--out``
 file that cannot be written, a non-integer RCFOLD_SEED, RCFOLD_JOBS or
-RCFOLD_CAP_SITES, a ``gen`` number that does not parse, and a suite
-``--instances`` or ``--only`` that is negative or names no row. Flags
+RCFOLD_CAP_SITES, a ``gen`` number or ``--eps`` that does not parse, and
+a suite ``--instances`` or ``--only`` that is negative or names no row. Flags
 fall back to RCFOLD_* environment variables (RCFOLD_SEED, RCFOLD_JOBS,
 RCFOLD_OUT, RCFOLD_CAP_SITES).
 ``--cap-sites`` caps the site count of ``check pa``, ``check na`` and every
@@ -44,7 +44,6 @@ from .generators import (
     random_nfkg_measure,
     uniform_subset_measure,
 )
-from .measures import as_fraction
 from .occurrence import (
     box_with_rule,
     check_disjoint_cluster_bound,
@@ -168,7 +167,7 @@ def _cmd_rcr(args) -> int:
     if args.rcr_cmd == "verify":
         measure = _read(args.measure, measure_from_json)
         base = _read(args.base, base_from_json)
-        check = verify_rcr(measure, base, as_fraction(args.eps))
+        check = verify_rcr(measure, base, _number(args.eps, "--eps"))
         _emit({"max_dev": check.max_dev, "ok": check.ok}, args.out)
         return 0 if check.ok else 1
     if args.rcr_cmd == "construct":
@@ -205,7 +204,7 @@ def _cmd_occurrence(args) -> int:
         a = _read(args.a, event_from_json, measure.space)
         b = _read(args.b, event_from_json, measure.space)
         rep = check_disjoint_cluster_bound(
-            measure, base, rule_by_name(args.rule), a, b, as_fraction(args.eps)
+            measure, base, rule_by_name(args.rule), a, b, _number(args.eps, "--eps")
         )
         _emit(jsonable(rep), args.out)
         return 0 if rep.ok else 1
@@ -213,7 +212,7 @@ def _cmd_occurrence(args) -> int:
         a = _read(args.a, event_from_json, measure.space)
         b = _read(args.b, event_from_json, measure.space)
         rep = check_folding_hypothesis_bound(
-            measure, rule_by_name(args.rule), a, b, as_fraction(args.eps)
+            measure, rule_by_name(args.rule), a, b, _number(args.eps, "--eps")
         )
         _emit(jsonable(rep), args.out)
         return 0 if rep.consistent else 1

@@ -325,8 +325,8 @@ def _convergence_checks(
 
     The stream yields the ``check_convergence_bound`` result for i = L + 1,
     L + 2, ... in turn. The prefix is folded once, and one empty-K window
-    squares every iterate: its lift is the identity on a binary space, so
-    the window of the first square serves all later ones.
+    squares every iterate on the prefix-folded space: its lift is the
+    identity on a binary space, so one window serves every square.
     """
     space, nums = _fold_prefix(p.space, p.int_weights[0], steps)
     limit = _limit_from_nums(space, nums, max(len(steps), 1))
@@ -337,7 +337,7 @@ def _convergence_checks(
         iterate, power = nums, 2
         while True:
             iterate = square.fold(iterate)
-            distance = sup_distance(normalize(square.folded_space, iterate), limit.measure)
+            distance = sup_distance(normalize(space, iterate), limit.measure)
             bound = size * limit.ratio ** power
             yield ConvergenceCheck(distance, bound, distance <= bound)
             power *= 2

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
+from operator import or_
 from typing import Callable
 
 from .errors import NonBinaryAlphabet, PreconditionFailed, SpaceMismatch
@@ -29,7 +31,6 @@ from .measures import (
     SiteSpace,
     _cylinder_table,
     as_fraction,
-    normalize,
     weight_summer,
 )
 from .rcr import RcrBase, _compatible_mask, clusters, predicates, verify_rcr
@@ -186,37 +187,50 @@ def box_with_rule(a: Event, b: Event, rule: SelectionRule) -> Event:
 def box_product_sweep(p: Measure) -> dict:
     """Check P(A box B) <= P(A) P(B) over every pair of events, exactly.
 
-    Tabulates, per event and configuration, the witness set and the
-    position-masks disjoint from one of its members, so the quadratic pair
-    sweep runs on machine integers. Returns counts and the violating pairs
-    (as event masks), if any.
+    With weights ``nums`` over ``den`` and w(E) the weight of E, a pair
+    fails when ``den * w(A box B) > w(A) * w(B)``. One A meets all B at
+    once in packed integers, B owning the field of ``width =
+    (den*den).bit_length() + 1`` bits at bit ``width * B``, top bit a
+    guard: left sides are ``den * nums[i]`` times ORs of packed up-sets
+    (the B holding a cylinder of i on a mask A allows there), right sides
+    ``w(A)`` times the packed event weights. Right minus left, guards set,
+    clears a guard exactly where left is larger: both sides are at most
+    ``den**2 < 2**(width - 1)``, so no borrow crosses a field. Returns the
+    pair count and the violating pairs (as event masks) in (A, B) order.
     """
-    space = p.space
-    size = space.size
+    size = p.space.size
     n_events = 1 << size
-    within = _subset_sets(space.n)
+    within = _subset_sets(p.space.n)
     nums, den = p.int_weights
-    wsum = weight_summer(nums, size)
-    table = _cylinder_table(space)
-    witness = [[_witness_set(row, a) for row in table] for a in range(n_events)]
-    allowed = [[_partners(ks, within) for ks in row] for row in witness]
-    sums = [wsum(a) for a in range(n_events)]
+    table = _cylinder_table(p.space)
+    width = (den * den).bit_length() + 1
+    sums = list(map(weight_summer(nums, size), range(n_events)))
+    packed_sums = int("".join(format(s, f"0{width}b") for s in reversed(sums)), 2)
+    guard = int(("0" * (width - 1)).join("1" * n_events), 2) << (width - 1)
+
+    @cache
+    def upset(cyl: int) -> int:
+        packed = 1 << width * cyl
+        for j in range(size):
+            if not cyl >> j & 1:
+                packed |= packed << (width << j)
+        return packed
+
+    @cache
+    def term(i: int, ks: int) -> int:
+        allowed = _partners(ks, within)
+        hits = (upset(cyl) for k, cyl in enumerate(table[i]) if allowed >> k & 1)
+        return den * nums[i] * reduce(or_, hits, 0)
 
     violations = []
-    checked = 0
     for a in range(n_events):
-        alw = allowed[a]
-        sa = sums[a]
-        for b in range(n_events):
-            checked += 1
-            wb = witness[b]
-            box_mask = 0
-            for i in range(size):
-                if alw[i] & wb[i]:
-                    box_mask |= 1 << i
-            if wsum(box_mask) * den > sa * sums[b]:
-                violations.append((a, b))
-    return {"pairs": checked, "violations": violations}
+        lhs = sum(term(i, _witness_set(row, a)) for i, row in enumerate(table) if nums[i])
+        bad = ~((sums[a] * packed_sums | guard) - lhs) & guard
+        while bad:
+            low = bad & -bad
+            violations.append((a, low.bit_length() // width - 1))
+            bad ^= low
+    return {"pairs": n_events * n_events, "violations": violations}
 
 
 def event_slice(space: SiteSpace, spec: FoldSpec, event: Event) -> Event:
@@ -345,7 +359,11 @@ def check_folding_hypothesis_bound(
     b: Event,
     eps: Fraction | int = 0,
 ) -> FoldingHypothesisReport:
-    """Verify the per-folding hypothesis and the product-bound conclusion."""
+    """Verify the per-folding hypothesis and the product-bound conclusion.
+
+    A fold with integer weights f, summing to T > 0, fails exactly when
+    ``(f(box) - f(A and bar B)) * eps.denominator > eps.numerator * T``.
+    """
     if not p.space.is_binary:
         raise NonBinaryAlphabet("the folding hypothesis check is stated on binary spaces")
     if a.space != p.space or b.space != p.space:
@@ -357,13 +375,11 @@ def check_folding_hypothesis_bound(
     folds = _defined_folds(p.int_weights[0], _first_folds(p.space))
     for window, fnums in folds:
         checked += 1
-        folded = normalize(window.folded_space, fnums)
-        a_slice = window.slice_event(a)
-        b_slice = window.slice_event(b)
-        pushed = _pushed_rule(rule, window)
-        lhs_f = folded.prob(box_with_rule(a_slice, b_slice, pushed))
-        rhs_f = folded.prob(a_slice & b_slice.bar())
-        if lhs_f > rhs_f + eps:
+        a_slice, b_slice = window.slice_event(a), window.slice_event(b)
+        boxed = box_with_rule(a_slice, b_slice, _pushed_rule(rule, window))
+        excess = sum(fnums[i] for i in boxed.indices())
+        excess -= sum(fnums[i] for i in (a_slice & b_slice.bar()).indices())
+        if excess * eps.denominator > eps.numerator * sum(fnums):
             failures.append(window.spec)
 
     lhs = p.prob(box_with_rule(a, b, rule))

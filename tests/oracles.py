@@ -1,12 +1,16 @@
 """Independent brute-force oracles the library tests check against.
 
 Everything here is written as directly from the definitions as possible
-and stays ignorant of the library's internal shortcuts.
+and stays ignorant of the library's internal shortcuts, except the few
+that keep a kernel's earlier, plainer loop as its reference.
 """
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 
-from rcfold import Event, Measure, SiteSpace, normalize
+from rcfold import Event, Measure, SiteSpace, box_with_rule, normalize
+from rcfold.folding import _defined_folds, _first_folds
+from rcfold.measures import _cylinder_table, weight_summer
+from rcfold.occurrence import _partners, _pushed_rule, _subset_sets, _witness_set
 
 
 def brute_upset_masks(n: int) -> list[int]:
@@ -268,3 +272,61 @@ def brute_sublattice_flags(event: Event) -> tuple:
         any(u[i] != u[j] for u in members) for i, j in combinations(range(space.n), 2)
     )
     return closed, symmetric, separates, len(members) == space.size
+
+
+def brute_box_product_sweep(p: Measure) -> dict:
+    """The box/product sweep as a loop over every pair of events and every
+    configuration: the witness set and the position-masks disjoint from one
+    of its members are tabulated per event and configuration, and each pair
+    compares ``w(A box B) * den`` with ``w(A) * w(B)``."""
+    space = p.space
+    size = space.size
+    n_events = 1 << size
+    within = _subset_sets(space.n)
+    nums, den = p.int_weights
+    wsum = weight_summer(nums, size)
+    table = _cylinder_table(space)
+    witness = [[_witness_set(row, a) for row in table] for a in range(n_events)]
+    allowed = [[_partners(ks, within) for ks in row] for row in witness]
+    sums = [wsum(a) for a in range(n_events)]
+
+    violations = []
+    checked = 0
+    for a in range(n_events):
+        alw = allowed[a]
+        sa = sums[a]
+        for b in range(n_events):
+            checked += 1
+            wb = witness[b]
+            box_mask = 0
+            for i in range(size):
+                if alw[i] & wb[i]:
+                    box_mask |= 1 << i
+            if wsum(box_mask) * den > sa * sums[b]:
+                violations.append((a, b))
+    return {"pairs": checked, "violations": violations}
+
+
+def fraction_fold_gaps(p: Measure, rule, a: Event, b: Event) -> list:
+    """Per defined first fold, in order: (spec, lhs_f - rhs_f), with the
+    fold normalized to a Fraction measure, lhs_f the probability of the box
+    of the slices under the pushed rule and rhs_f that of A and bar(B)."""
+    gaps = []
+    for window, fnums in _defined_folds(p.int_weights[0], _first_folds(p.space)):
+        folded = normalize(window.folded_space, fnums)
+        a_slice = window.slice_event(a)
+        b_slice = window.slice_event(b)
+        pushed = _pushed_rule(rule, window)
+        lhs_f = folded.prob(box_with_rule(a_slice, b_slice, pushed))
+        rhs_f = folded.prob(a_slice & b_slice.bar())
+        gaps.append((window.spec, lhs_f - rhs_f))
+    return gaps
+
+
+def fraction_folding_hypothesis(p: Measure, rule, a: Event, b: Event, eps) -> tuple:
+    """(hypothesis failures, foldings checked, lhs, rhs) of the folding
+    hypothesis check, comparing Fraction probabilities per fold."""
+    gaps = fraction_fold_gaps(p, rule, a, b)
+    failures = tuple(spec for spec, gap in gaps if gap > eps)
+    lhs = p.prob(box_with_rule(a, b, rule))
+    return failures, len(gaps), lhs, p.prob(a) * p.prob(b)

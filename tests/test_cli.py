@@ -209,6 +209,26 @@ class TestOccurrenceCommands:
         assert obj["consistent"] is True and code == 0
 
 
+    @pytest.mark.parametrize("eps", ["x", "1/0"], ids=["malformed", "zero-denominator"])
+    @pytest.mark.parametrize("command", ["rcr-verify", "check-232", "check-233"])
+    def test_bad_eps_is_usage_error(self, command, eps, tmp_path, capsys):
+        spec = {"vertices": [1, 2], "edges": [[1, 2, "2/1"]], "fields": None}
+        code, out = run_cli(["rcr", "ising", write_json(tmp_path, "spec.json", spec)], capsys)
+        bundle = json.loads(out)
+        m = write_json(tmp_path, "m.json", dumps_canonical(bundle["measure"]))
+        base = write_json(tmp_path, "b.json", dumps_canonical(bundle["base"]))
+        space = {"sites": [1, 2], "alphabets": [[0, 1], [0, 1]]}
+        a = write_json(tmp_path, "a.json", {**space, "configs": [[1, 0], [1, 1]]})
+        args = {
+            "rcr-verify": ["rcr", "verify", m, base],
+            "check-232": ["occurrence", "check-232", "--measure", m, "--base", base],
+            "check-233": ["occurrence", "check-233", "--measure", m],
+        }[command]
+        if command != "rcr-verify":
+            args += ["--a", a, "--b", a]
+        TestSuiteCommand.assert_one_error_line(args + ["--eps", eps], capsys)
+
+
 class TestCheckAndPipeline:
     def test_check_fkg_exit_codes(self, tmp_path, capsys):
         good = write_json(

@@ -228,6 +228,13 @@ class TestConvergenceBound:
             r = check_convergence_bound(m, [FoldSpec((), ())], 4)  # i = L + 3
             assert r.ok
 
+    def test_relabeled_two_symbol_space_matches_binary(self):
+        relabeled = SiteSpace((1, 2), (("a", "b"), ("x", "y")))
+        p = normalize(relabeled, [1, 2, 3, 4])
+        q = normalize(SiteSpace.binary((1, 2)), [1, 2, 3, 4])
+        for i in range(2, 6):
+            assert check_convergence_bound(p, [], i) == check_convergence_bound(q, [], i)
+
     def test_requires_i_past_prefix(self):
         with pytest.raises(Exception):
             check_convergence_bound(P_SYM, [], 1)

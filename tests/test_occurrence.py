@@ -25,12 +25,18 @@ from rcfold import (
     induced_rule,
     ising_build,
     IsingSpec,
+    normalize,
 )
 from rcfold.folding import _first_fold_specs
 from rcfold.occurrence import box_product_sweep
 from rcfold.generators import random_product_measure, random_fkg_measure
 
-from oracles import brute_box
+from oracles import (
+    brute_box,
+    brute_box_product_sweep,
+    fraction_fold_gaps,
+    fraction_folding_hypothesis,
+)
 
 F = Fraction
 
@@ -412,6 +418,32 @@ class TestFoldingHypothesisBound:
                     rep = check_folding_hypothesis_bound(m, rule, a, b, 0)
                     assert rep.consistent
 
+    @pytest.mark.parametrize("n, pairs", [(2, 32), (3, 12)])
+    def test_matches_the_fraction_oracle_for_every_eps(self, n, pairs):
+        rng = random.Random(20 + n)
+        failing = 0
+        for seed in range(3):
+            m = random_fkg_measure(n, 300 + seed)
+            sp = m.space
+            for _ in range(pairs):
+                a = Event(sp, rng.randrange(1 << sp.size))
+                b = Event(sp, rng.randrange(1 << sp.size))
+                for rule in (full_rule(), increasing_only_rule()):
+                    spec, gap = max(fraction_fold_gaps(m, rule, a, b), key=lambda sg: sg[1])
+                    eps_values = [F(0), F(-1, 7)]
+                    if gap > 0:
+                        failing += 1
+                        eps_values += [gap, gap - F(1, 10**6)]
+                    reports = {}
+                    for eps in eps_values:
+                        rep = reports[eps] = check_folding_hypothesis_bound(m, rule, a, b, eps)
+                        got = (rep.hypothesis_failures, rep.foldings_checked, rep.lhs, rep.rhs)
+                        assert got == fraction_folding_hypothesis(m, rule, a, b, eps)
+                    if gap > 0:
+                        assert spec not in reports[gap].hypothesis_failures
+                        assert spec in reports[gap - F(1, 10**6)].hypothesis_failures
+        assert failing >= 4
+
 
 class TestBoxProductSweep:
     def test_matches_direct_box_on_two_sites(self):
@@ -439,3 +471,35 @@ class TestBoxProductSweep:
         res = box_product_sweep(m)
         assert res["pairs"] == 256 and len(expect) == 4
         assert res["violations"] == expect
+
+
+_R32 = SiteSpace((1, 2), ((0, 1, 2), (0, 1)))
+_WIDE = 2**41 + 1
+SWEEP_MEASURES = {
+    "n0": Measure.uniform(SiteSpace((), ())),
+    "n1": normalize(binary(1), [1, 3]),
+    "uniform2": Measure.uniform(binary(2)),
+    "uniform3": Measure.uniform(binary(3)),
+    "product2": random_product_measure(2, random.Random(5)),
+    "product3": random_product_measure(3, random.Random(6)),
+    "point-mass": normalize(binary(3), [0, 0, 0, 0, 0, 1, 0, 0]),
+    "zeros2": normalize(binary(2), [0, 2, 0, 4]),
+    "end-heavy": normalize(binary(3), [5, 1, 1, 1, 1, 1, 1, 5]),
+    "sparse": normalize(binary(3), [1, 0, 0, 5, 0, 3, 2, 9]),
+    "radix32": normalize(_R32, [1, 2, 3, 4, 5, 6]),
+    "radix32-zeros": normalize(_R32, [0, 2, 0, 4, 5, 0]),
+    "wide": normalize(binary(3), [_WIDE, 3, 5, _WIDE - 7, 11, 13, 2**40, 17]),
+}
+
+
+class TestBoxProductSweepOracle:
+    @pytest.mark.parametrize("name", list(SWEEP_MEASURES))
+    def test_matches_the_pair_loop(self, name):
+        m = SWEEP_MEASURES[name]
+        assert box_product_sweep(m) == brute_box_product_sweep(m)
+
+    def test_the_data_reaches_what_it_names(self):
+        assert SWEEP_MEASURES["point-mass"].int_weights[1] == 1
+        assert SWEEP_MEASURES["wide"].int_weights[1] > 2**40
+        assert len(box_product_sweep(SWEEP_MEASURES["end-heavy"])["violations"]) == 1814
+        assert len(box_product_sweep(SWEEP_MEASURES["sparse"])["violations"]) == 2063

@@ -5,9 +5,13 @@ per site. Configurations store one alphabet index per site and are
 addressable by a mixed-radix integer (first site most significant), so a
 binary space enumerates its configurations as plain bit patterns. Events
 store membership as an integer bitmask over configuration indices.
-``SiteSpace.value_masks`` is the one reader of that index layout: the
-bitmask of the configurations carrying each value at each position, from
-which cylinders, bond compatibility and site agreement are ANDs and ORs.
+``SiteSpace.value_masks`` reads that index layout for the set operations:
+the bitmask of the configurations carrying each value at each position, from
+which cylinders, bond compatibility and site agreement are ANDs and ORs. Two
+lattice operations read it directly. Symbol reversal maps index i to
+size - 1 - i on every space, so ``Event.bar`` reverses the size-bit string
+of a mask. On binary spaces the join and meet of two configurations are the
+OR and AND of their indices, as in ``rcr._join_meet_closed``.
 
 All probabilities are ``fractions.Fraction``; nothing on a verification
 path ever touches floating point.
@@ -148,14 +152,6 @@ class SiteSpace:
             out.append(tuple((((1 << w) - 1) << (v * w)) * repeat for v in range(r)))
         return tuple(out)
 
-    @cached_property
-    def flip_table(self) -> tuple[int, ...]:
-        """index -> index of the configuration with every symbol reversed.
-
-        Value v becomes r - 1 - v at every position, and the place values
-        times r - 1 sum to size - 1, so index i maps to size - 1 - i."""
-        return tuple(range(self.size - 1, -1, -1))
-
 
 @dataclass(frozen=True)
 class Config:
@@ -189,14 +185,6 @@ class Config:
             self.space,
             tuple(r - 1 - v for v, r in zip(self.values, self.space.radices)),
         )
-
-    def join(self, other: "Config") -> "Config":
-        _require_same_space(self.space, other.space)
-        return Config(self.space, tuple(max(a, b) for a, b in zip(self.values, other.values)))
-
-    def meet(self, other: "Config") -> "Config":
-        _require_same_space(self.space, other.space)
-        return Config(self.space, tuple(min(a, b) for a, b in zip(self.values, other.values)))
 
     def __str__(self) -> str:
         return "".join(str(s) for s in self.symbols())
@@ -324,9 +312,13 @@ class Event:
         return not self.mask & ~other.mask
 
     def bar(self) -> "Event":
-        """Image under pointwise symbol reversal (an involution)."""
-        flip = self.space.flip_table
-        return Event.from_indices(self.space, (flip[i] for i in self.indices()))
+        """Image under pointwise symbol reversal (an involution).
+
+        Value v becomes r - 1 - v at every position, and the place values
+        times r - 1 sum to size - 1, so index i maps to size - 1 - i: the
+        size-bit string of the mask, reversed."""
+        size = self.space.size
+        return Event(self.space, int(format(self.mask, f"0{size}b")[::-1], 2))
 
     def is_increasing(self) -> bool:
         """Closure upward under the coordinatewise partial order (binary)."""
@@ -464,9 +456,9 @@ class Measure:
         return Event.from_indices(self.space, (i for i, w in enumerate(self.weights) if w == top))
 
     def is_symmetric(self) -> bool:
-        """Invariance under pointwise symbol reversal of configurations."""
-        flip = self.space.flip_table
-        return all(self.weights[i] == self.weights[flip[i]] for i in range(self.space.size))
+        """Invariance under pointwise symbol reversal of configurations,
+        which maps index i to size - 1 - i (see ``Event.bar``)."""
+        return self.weights == self.weights[::-1]
 
 
 def normalize(space: SiteSpace, weights: Sequence[Rational]) -> Measure:

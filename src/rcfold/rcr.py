@@ -11,11 +11,12 @@ when
 compatibility meaning that w restricted to every bond lies in the bond's
 state. Compatibility is one bitmask over configuration indices: the AND
 over bonds of the OR, over the bond's state, of the AND of the space's value
-masks. Site agreement is read off the same masks. The module also provides
-the structural predicates used by the association pipelines, the point-mass
-base built from a symmetric join/meet-closed support, the uniform base over
-complete pairings, and the classic two-state edge base for
-agreement-weighted (Ising-type) measures.
+masks. Site agreement is read off the same masks. On binary spaces the join
+and meet of two configurations are the OR and AND of their indices. The
+module also provides the structural predicates used by the association
+pipelines, the point-mass base built from a symmetric join/meet-closed
+support, the uniform base over complete pairings, and the classic two-state
+edge base for agreement-weighted (Ising-type) measures.
 """
 from __future__ import annotations
 
@@ -277,9 +278,11 @@ def predicates(base: RcrBase) -> BasePredicates:
 
 
 def _join_meet_closed(d: Event) -> bool:
-    members = list(d.configs())
-    for a, b in combinations(members, 2):
-        if not (d.contains(a.join(b)) and d.contains(a.meet(b))):
+    """Closure of d under join (``a | b``) and meet (``a & b``) of indices;
+    binary spaces only, which every caller checks first."""
+    mask = d.mask
+    for a, b in combinations(list(d.indices()), 2):
+        if not (mask >> (a | b) & 1 and mask >> (a & b) & 1):
             return False
     return True
 

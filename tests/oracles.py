@@ -34,6 +34,11 @@ def brute_upset_masks(n: int) -> list[int]:
     return out
 
 
+def brute_bar(event: Event) -> Event:
+    """The reversal of an event, one ``Config.bar`` per member."""
+    return Event.from_configs(event.space, (c.bar() for c in event.configs()))
+
+
 def brute_cylinder(w, region) -> Event:
     """The configurations agreeing with w on every site of region, found by
     comparing value tuples."""

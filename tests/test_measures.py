@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from rcfold import (
 )
 from rcfold.serialize import measure_from_json, measure_to_json
 
-from oracles import brute_cylinder, brute_upset_masks
+from oracles import brute_bar, brute_cylinder, brute_upset_masks
 
 F = Fraction
 
@@ -216,6 +217,26 @@ class TestEvents:
         e = Event.from_indices(sp, [0, 3, 5])
         assert e.bar().bar() == e
 
+    @pytest.mark.parametrize(
+        "sp",
+        [binary(0), binary(1), binary(2), binary(3), SiteSpace((1, 2), ((0, 1, 2), (0, 1))),
+         SiteSpace((1,), (("only",),))],
+        ids=["n0", "n1", "n2", "n3", "radix32", "one-config"],
+    )
+    def test_bar_matches_config_reversal_on_every_event(self, sp):
+        # masks below 2**(size-1) have the top bit clear, so the padded
+        # bit string starts with zeros
+        for mask in range(1 << sp.size):
+            assert Event(sp, mask).bar() == brute_bar(Event(sp, mask))
+
+    def test_bar_matches_config_reversal_on_the_four_cube(self):
+        sp = binary(4)
+        rng = random.Random(16)
+        masks = [rng.getrandbits(16) for _ in range(100)]
+        masks += [rng.getrandbits(k) | 1 << (k - 1) for k in range(1, 16)]
+        for mask in masks:
+            assert Event(sp, mask).bar() == brute_bar(Event(sp, mask))
+
     def test_boolean_algebra(self):
         sp = binary(2)
         a = Event.from_indices(sp, [0, 1])
@@ -240,6 +261,10 @@ class TestMeasure:
         sp = binary(2)
         assert Measure(sp, (F(3, 7), F(1, 14), F(1, 14), F(3, 7))).is_symmetric()
         assert not normalize(sp, [4, 1, 2, 3]).is_symmetric()
+        mixed = SiteSpace((1, 2), ((0, 1, 2), (0, 1)))
+        assert normalize(mixed, [1, 2, 3, 3, 2, 1]).is_symmetric()
+        # invariant when only site 1 is reversed, but not under full reversal
+        assert not normalize(mixed, [1, 2, 3, 4, 1, 2]).is_symmetric()
 
     @given(st.lists(st.integers(0, 20), min_size=4, max_size=4).filter(any))
     def test_normalize_sums_to_one(self, ws):

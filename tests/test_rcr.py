@@ -12,6 +12,7 @@ from rcfold import (
     IsingSpec,
     Measure,
     NoCompatiblePair,
+    NonBinaryAlphabet,
     PreconditionFailed,
     RcrBase,
     SiteSpace,
@@ -31,6 +32,7 @@ from rcfold import (
 from oracles import brute_induced_measure, brute_sublattice_flags
 
 F = Fraction
+RADIX32 = SiteSpace((1, 2), ((0, 1, 2), (0, 1)))
 DIAG = frozenset({(0, 0), (1, 1)})
 ANTI = frozenset({(0, 1), (1, 0)})
 FULL2 = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
@@ -279,6 +281,13 @@ class TestConstructUniformSymmetric:
         with pytest.raises(PreconditionFailed, match="lattice"):
             construct_uniform_symmetric_rcr(Event.from_indices(sp, [1, 2]))
 
+    def test_mixed_radix_support_rejected(self):
+        # the lattice kernel reads join and meet as OR and AND of indices,
+        # which holds on binary spaces only
+        for d in (Event.full(RADIX32), Event.from_indices(RADIX32, [0, 5])):
+            with pytest.raises(NonBinaryAlphabet):
+                construct_uniform_symmetric_rcr(d)
+
     def test_exhaustive_small_spaces(self):
         from rcfold import is_fkg
 
@@ -331,6 +340,11 @@ class TestSublattice:
         sp = binary(1)
         flags = check_sublattice(Event.empty(sp))
         assert flags.sublattice and flags.symmetric and not flags.separates_points
+
+    def test_mixed_radix_event_rejected(self):
+        for e in (Event.full(RADIX32), Event.from_indices(RADIX32, [0, 5])):
+            with pytest.raises(NonBinaryAlphabet):
+                check_sublattice(e)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_exhaustive_small(self, m):

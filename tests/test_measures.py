@@ -219,8 +219,14 @@ class TestEvents:
 
     @pytest.mark.parametrize(
         "sp",
-        [binary(0), binary(1), binary(2), binary(3), SiteSpace((1, 2), ((0, 1, 2), (0, 1))),
-         SiteSpace((1,), (("only",),))],
+        [
+            binary(0),
+            binary(1),
+            binary(2),
+            binary(3),
+            SiteSpace((1, 2), ((0, 1, 2), (0, 1))),
+            SiteSpace((1,), (("only",),)),
+        ],
         ids=["n0", "n1", "n2", "n3", "radix32", "one-config"],
     )
     def test_bar_matches_config_reversal_on_every_event(self, sp):

@@ -24,6 +24,7 @@ from .errors import (
     CapExceeded,
     FoldingUndefined,
     InvalidParams,
+    InvariantViolated,
     NoCompatiblePair,
     NonBinaryAlphabet,
     OverlappingDomains,

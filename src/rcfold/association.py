@@ -26,9 +26,9 @@ from typing import Sequence
 from .errors import (
     CapExceeded,
     InvalidParams,
+    InvariantViolated,
     NonBinaryAlphabet,
     PreconditionFailed,
-    RcfoldError,
 )
 from .folding import (
     BRANCH_CAP,
@@ -173,24 +173,23 @@ def is_pa(p: Measure, cap: int = UPSET_CAP) -> AssociationReport:
     return AssociationReport(True, None, {"upsets": len(ups), "pairs": len(ups) ** 2})
 
 
-@lru_cache(maxsize=None)
-def _lifted_upsets(space: SiteSpace, nmask: int) -> tuple[int, ...]:
-    """Nontrivial increasing events measurable on the sites in nmask,
-    lifted to full-space masks."""
-    positions = [q for q in range(space.n) if nmask >> q & 1]
-    k = len(positions)
+@lru_cache(maxsize=None)  # 2**n entries per site count n, 63 for n = 0..UPSET_CAP
+def _lifted_upsets(n: int, nmask: int) -> tuple[int, ...]:
+    """Nontrivial increasing events measurable on the positions in nmask of
+    the binary n-cube, lifted to full-space masks."""
+    shifts = [n - 1 - q for q in range(n) if nmask >> q & 1]  # position q is bit n-1-q
+    k = len(shifts)
     sub_index = []
-    for i in range(space.size):
-        vals = space.values_at(i)
+    for i in range(1 << n):
         s = 0
-        for q in positions:
-            s = s * 2 + vals[q]
+        for b in shifts:
+            s = s * 2 + (i >> b & 1)
         sub_index.append(s)
     lifted = []
     for um in _upset_masks(k):
         if um == 0 or um == (1 << (1 << k)) - 1:
             continue  # empty and full events hold trivially
-        lifted.append(sum(1 << i for i in range(space.size) if um >> sub_index[i] & 1))
+        lifted.append(sum(1 << i for i, s in enumerate(sub_index) if um >> s & 1))
     return tuple(lifted)
 
 
@@ -213,10 +212,10 @@ def is_na(p: Measure, cap: int = UPSET_CAP) -> AssociationReport:
     full = (1 << n) - 1
     scanned = 0
     for nmask in range(1 << n):
-        side_a = _lifted_upsets(p.space, nmask)
+        side_a = _lifted_upsets(n, nmask)
         if not side_a:
             continue
-        side_b = _lifted_upsets(p.space, full ^ nmask)
+        side_b = _lifted_upsets(n, full ^ nmask)
         sums_b = [(mb, wsum(mb)) for mb in side_b]
         for ma in side_a:
             sa = wsum(ma)
@@ -295,13 +294,13 @@ def is_nfkg(p: Measure) -> AssociationReport:
     return AssociationReport(witness is None, witness, {"foldings": 3 ** p.space.n})
 
 
-def is_snfkg(p: Measure, check_closure: bool = True) -> AssociationReport:
+def is_snfkg(p: Measure) -> AssociationReport:
     """Balanced configurations are equal and strictly maximal per folding.
 
     On a positive verdict this also re-derives two consequences and raises
-    if either fails (they are theorems, so a failure is a library bug):
-    the weak condition holds, and every defined folding satisfies the
-    strict condition again.
+    ``InvariantViolated`` if either fails (they are theorems, so a failure
+    is a library bug): the weak condition holds, and every defined folding
+    satisfies the strict condition again.
     """
     _require_binary(p.space, "the strict negative lattice condition")
     nums, _ = p.int_weights
@@ -310,14 +309,12 @@ def is_snfkg(p: Measure, check_closure: bool = True) -> AssociationReport:
     log = {"foldings": 3 ** p.space.n}
     if witness is not None:
         return AssociationReport(False, witness, log)
-    if check_closure:
-        if _nfkg_violation(folds) is not None:
-            raise RcfoldError("strict condition without the weak one")
-        for window, fnums in folds:
-            fspace = window.folded_space
-            refolds = _defined_folds(fnums, _first_folds(fspace))
-            if _snfkg_violation(refolds) is not None:
-                raise RcfoldError("strict condition not preserved by a folding")
+    if _nfkg_violation(folds) is not None:
+        raise InvariantViolated("strict condition without the weak one")
+    for window, fnums in folds:
+        refolds = _defined_folds(fnums, _first_folds(window.folded_space))
+        if _snfkg_violation(refolds) is not None:
+            raise InvariantViolated("strict condition not preserved by a folding")
     return AssociationReport(True, None, log)
 
 
@@ -389,7 +386,7 @@ def _walk(nums, path, windows, table, counts, limits) -> int:
     return total
 
 
-def fkg_theorem_pipeline(p: Measure, cap: int = BRANCH_CAP) -> PipelineReport:
+def fkg_theorem_pipeline(p: Measure) -> PipelineReport:
     """Certify positive association along every essential branch limit.
 
     Requires the lattice condition. Each branch limit must be a symmetric
@@ -399,8 +396,8 @@ def fkg_theorem_pipeline(p: Measure, cap: int = BRANCH_CAP) -> PipelineReport:
     positive-association scan of p itself.
     """
     _require_binary(p.space, "the positive association pipeline")
-    if p.space.n > cap:
-        raise CapExceeded(f"|sites|={p.space.n} exceeds cap {cap}")
+    if p.space.n > BRANCH_CAP:
+        raise CapExceeded(f"|sites|={p.space.n} exceeds cap {BRANCH_CAP}")
     if not is_fkg(p).verdict:
         raise PreconditionFailed("measure does not satisfy the lattice condition")
 
@@ -430,13 +427,13 @@ def fkg_theorem_pipeline(p: Measure, cap: int = BRANCH_CAP) -> PipelineReport:
     return PipelineReport(ok, branches, len(limits), tuple(failures), final)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # per terminal space: 16 site subsets of a BRANCH_CAP-site space
 def _pairing_data(space: SiteSpace):
     base = complete_pairing_base(space)
     return base, induced_measure(base), predicates(base)
 
 
-def snfkg_limit_rcr(p: Measure, cap: int = BRANCH_CAP) -> PipelineReport:
+def snfkg_limit_rcr(p: Measure) -> PipelineReport:
     """Certify negative association along every essential branch limit.
 
     Requires the strict negative condition. Each branch limit must equal
@@ -446,8 +443,8 @@ def snfkg_limit_rcr(p: Measure, cap: int = BRANCH_CAP) -> PipelineReport:
     negative-association scan of p itself.
     """
     _require_binary(p.space, "the negative association pipeline")
-    if p.space.n > cap:
-        raise CapExceeded(f"|sites|={p.space.n} exceeds cap {cap}")
+    if p.space.n > BRANCH_CAP:
+        raise CapExceeded(f"|sites|={p.space.n} exceeds cap {BRANCH_CAP}")
     if not is_snfkg(p).verdict:
         raise PreconditionFailed("measure does not satisfy the strict negative condition")
 

@@ -5,9 +5,11 @@ Subcommands mirror the library: ``gen`` writes measure files, ``fold`` and
 cluster bases, ``occurrence`` runs box operations and the two occurrence
 bounds, ``check`` and ``pipeline`` run the association machinery, and
 ``suite`` runs a named reproducible batch. Exit status is 0 when the
-requested verdict holds, 1 when it fails, and 2 on a usage error, which
-includes an input file that cannot be opened or parsed, an ``--out``
-file that cannot be written, a non-integer RCFOLD_SEED, RCFOLD_JOBS or
+requested verdict holds, 1 when it fails, 2 on a usage error and 3 when a
+theorem-level self-check of the library fails (``InvariantViolated``, a
+library bug). Usage errors include an input file that cannot be opened or
+parsed (a rational with a zero denominator included), an ``--out`` file
+that cannot be written, a non-integer RCFOLD_SEED, RCFOLD_JOBS or
 RCFOLD_CAP_SITES, a ``gen`` number or ``--eps`` that does not parse, and
 a suite ``--instances`` or ``--only`` that is negative or names no row. Flags
 fall back to RCFOLD_* environment variables (RCFOLD_SEED, RCFOLD_JOBS,
@@ -35,7 +37,7 @@ from .association import (
     levels_from_measure,
     snfkg_limit_rcr,
 )
-from .errors import CapExceeded, InvalidParams, RcfoldError
+from .errors import CapExceeded, InvalidParams, InvariantViolated, RcfoldError
 from .folding import branch_limit, fold_path
 from .generators import (
     exchangeable_measure,
@@ -141,10 +143,8 @@ def _cmd_gen(args) -> int:
         measure = random_fkg_measure(args.sites, args.seed)
     elif args.kind == "random_nfkg":
         measure = random_nfkg_measure(args.sites, args.seed)
-    elif args.kind == "uniform_subset":
+    else:  # uniform_subset
         measure = uniform_subset_measure(args.sites, args.configs.split(","))
-    else:
-        raise RcfoldError(f"unknown generator {args.kind!r}")
     _emit(measure_to_json(measure), args.out)
     return 0
 
@@ -175,19 +175,17 @@ def _cmd_rcr(args) -> int:
         base = construct_uniform_symmetric_rcr(event)
         _emit(base_to_json(base), args.out)
         return 0
-    if args.rcr_cmd == "ising":
-        spec = _read(args.spec, ising_from_json)
-        build = ising_build(spec)
-        _emit(
-            {
-                "measure": measure_to_json(build.measure),
-                "base": base_to_json(build.base),
-                "spec": ising_to_json(spec),
-            },
-            args.out,
-        )
-        return 0
-    raise RcfoldError(f"unknown rcr subcommand {args.rcr_cmd!r}")
+    spec = _read(args.spec, ising_from_json)  # rcr ising
+    build = ising_build(spec)
+    _emit(
+        {
+            "measure": measure_to_json(build.measure),
+            "base": base_to_json(build.base),
+            "spec": ising_to_json(spec),
+        },
+        args.out,
+    )
+    return 0
 
 
 def _cmd_occurrence(args) -> int:
@@ -208,15 +206,13 @@ def _cmd_occurrence(args) -> int:
         )
         _emit(jsonable(rep), args.out)
         return 0 if rep.ok else 1
-    if args.occ_cmd == "check-233":
-        a = _read(args.a, event_from_json, measure.space)
-        b = _read(args.b, event_from_json, measure.space)
-        rep = check_folding_hypothesis_bound(
-            measure, rule_by_name(args.rule), a, b, _number(args.eps, "--eps")
-        )
-        _emit(jsonable(rep), args.out)
-        return 0 if rep.consistent else 1
-    raise RcfoldError(f"unknown occurrence subcommand {args.occ_cmd!r}")
+    a = _read(args.a, event_from_json, measure.space)  # check-233
+    b = _read(args.b, event_from_json, measure.space)
+    rep = check_folding_hypothesis_bound(
+        measure, rule_by_name(args.rule), a, b, _number(args.eps, "--eps")
+    )
+    _emit(jsonable(rep), args.out)
+    return 0 if rep.consistent else 1
 
 
 _CHECKS = {
@@ -377,6 +373,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
+    except InvariantViolated as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except RcfoldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -42,3 +42,7 @@ class PreconditionFailed(RcfoldError):
 
 class InvalidParams(RcfoldError, ValueError):
     """Malformed parameters handed to a generator or CLI entry point."""
+
+
+class InvariantViolated(RcfoldError):
+    """A theorem-level self-check failed: a library bug, not an input error."""

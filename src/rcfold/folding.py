@@ -408,11 +408,9 @@ def iter_essential_branches(
     yield from descend(p.int_weights[0], (), _first_folds(p.space), 1)
 
 
-def enumerate_essential_prefixes(
-    p: Measure, max_len: int, cap: int = BRANCH_CAP
-) -> Iterator[FoldPath]:
+def enumerate_essential_prefixes(p: Measure, max_len: int) -> Iterator[FoldPath]:
     """Every defined essential prefix up to max_len, each once."""
-    if p.space.n > cap:
-        raise CapExceeded(f"|sites|={p.space.n} exceeds cap {cap}")
+    if p.space.n > BRANCH_CAP:
+        raise CapExceeded(f"|sites|={p.space.n} exceeds cap {BRANCH_CAP}")
     for path, _, _ in iter_essential_branches(p, max_len):
         yield path

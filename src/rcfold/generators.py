@@ -15,7 +15,7 @@ exactly, in two families:
   closed under pointwise products, strict times weak giving strict.
 
 Each result is re-checked against its contract; a failure raises
-RcfoldError, since it means a library bug. Everything is deterministic in
+InvariantViolated, since it means a library bug. Everything is deterministic in
 the seed.
 """
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .association import (
     is_fkg,
     is_nfkg,
 )
-from .errors import InvalidParams, RcfoldError
+from .errors import InvalidParams, InvariantViolated
 from .measures import Event, Measure, SiteSpace, normalize
 from .rcr import IsingSpec
 
@@ -83,7 +83,7 @@ def random_fkg_measure(n: int, seed: int) -> Measure:
                 coef[i] *= coef[i ^ bit]
     m = normalize(space, coef)
     if not is_fkg(m).verdict:
-        raise RcfoldError("log-supermodular weights fail the lattice condition")
+        raise InvariantViolated("log-supermodular weights fail the lattice condition")
     return m
 
 
@@ -112,7 +112,7 @@ def random_nfkg_measure(n: int, seed: int) -> Measure:
         weights.append(w)
     m = normalize(space, weights)
     if not is_nfkg(m).verdict:
-        raise RcfoldError("product of negative members fails the weak negative condition")
+        raise InvariantViolated("product of negative members fails the weak negative condition")
     return m
 
 
@@ -133,14 +133,12 @@ def exchangeable_measure(n: int, level_weights: Sequence) -> Measure:
     return exchangeable_from_levels(ExchangeableLevels.from_weights(n, level_weights))
 
 
-def ising_spec_from_edge_list(edges: Sequence[tuple], fields=None) -> IsingSpec:
-    """Build a model spec from (u, v, weight) triples; vertices inferred."""
+def ising_spec_from_edge_list(edges: Sequence[tuple]) -> IsingSpec:
+    """Build a field-free model spec from (u, v, weight) triples; vertices
+    inferred in order of first appearance."""
     vertices = []
     for u, v, _ in edges:
         for w in (u, v):
             if w not in vertices:
                 vertices.append(w)
-    field_tuple = None
-    if fields is not None:
-        field_tuple = tuple(fields.get(v, Fraction(1)) for v in vertices)
-    return IsingSpec(tuple(vertices), tuple(edges), field_tuple)
+    return IsingSpec(tuple(vertices), tuple(edges))

@@ -28,10 +28,10 @@ from typing import Iterator
 
 from .errors import (
     InvalidParams,
+    InvariantViolated,
     NoCompatiblePair,
     NonBinaryAlphabet,
     PreconditionFailed,
-    RcfoldError,
     SpaceMismatch,
 )
 from .measures import (
@@ -219,10 +219,6 @@ def _component_roots(n: int, links) -> list[int]:
     return [find(x) for x in range(n)]
 
 
-def cluster_count(eta: BondStateAssignment) -> int:
-    return len(clusters(eta))
-
-
 @dataclass(frozen=True)
 class BasePredicates:
     """Structural flags of a base, each checked on every atom.
@@ -335,7 +331,8 @@ def check_sublattice(lattice: Event) -> SublatticeFlags:
     ``separates_points`` requires the subset to be nonempty and, for every
     pair of sites, to contain a configuration distinguishing them. A
     symmetric point-separating sublattice must be the full cube; that
-    implication is re-checked here and a violation raises.
+    implication is re-checked here and a violation raises
+    ``InvariantViolated``.
     """
     space = lattice.space
     if not space.is_binary:
@@ -347,7 +344,7 @@ def check_sublattice(lattice: Event) -> SublatticeFlags:
     )
     full = lattice.mask == (1 << space.size) - 1
     if sub and sym and separates and not full:
-        raise RcfoldError("separation lemma violated: proper symmetric separating sublattice")
+        raise InvariantViolated("separation lemma violated: proper symmetric separating sublattice")
     return SublatticeFlags(sub, sym, separates, full)
 
 
@@ -474,7 +471,8 @@ def ising_build(spec: IsingSpec) -> IsingBuild:
     the product over edges of (equal-pair state with probability p, full
     state otherwise). The state marginal of the joint distribution is also
     computed two ways, by the closed product-times-2^clusters formula and
-    by direct summation, and the two must agree exactly.
+    by direct summation, and the two must agree exactly (``InvariantViolated``
+    if not).
     """
     if spec.fields is not None and any(f != 1 for f in spec.fields):
         raise PreconditionFailed("base construction requires all field weights equal to 1")
@@ -495,7 +493,7 @@ def ising_build(spec: IsingSpec) -> IsingBuild:
         eta = BondStateAssignment(
             struct, tuple(diag if act else full for act in choice)
         )
-        fk_all.append((eta, w * (1 << cluster_count(eta))))
+        fk_all.append((eta, w * (1 << len(clusters(eta)))))
         if w > 0:
             atoms.append((eta, w))
     base = RcrBase(struct, tuple(atoms))
@@ -513,5 +511,5 @@ def ising_build(spec: IsingSpec) -> IsingBuild:
     z_direct = sum(direct)
     for (eta, closed), raw in zip(fk, direct):
         if closed != raw / z_direct:
-            raise RcfoldError("cluster marginal mismatch between formula and summation")
+            raise InvariantViolated("cluster marginal mismatch between formula and summation")
     return IsingBuild(measure, base, tuple((eta, w) for eta, w in fk if w > 0))

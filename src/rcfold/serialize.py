@@ -23,14 +23,6 @@ def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(text) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, str):
-        return Fraction(text)
-    raise InvalidParams(f"expected a rational string, got {text!r}")
-
-
 def space_to_json(space: SiteSpace) -> dict:
     return {
         "sites": list(space.sites),
@@ -50,7 +42,7 @@ def measure_to_json(p: Measure) -> dict:
 
 def measure_from_json(obj: dict) -> Measure:
     space = space_from_json(obj)
-    return Measure(space, tuple(parse_fraction(w) for w in obj["weights"]))
+    return Measure(space, tuple(obj["weights"]))
 
 
 def config_to_json(c: Config) -> list:
@@ -155,9 +147,7 @@ def base_from_json(obj: dict) -> RcrBase:
                 for row in rows
             )
             states.append(state)
-        atoms.append(
-            (BondStateAssignment(struct, tuple(states)), parse_fraction(atom["weight"]))
-        )
+        atoms.append((BondStateAssignment(struct, tuple(states)), atom["weight"]))
     return RcrBase(struct, tuple(atoms))
 
 
@@ -172,9 +162,7 @@ def ising_to_json(spec: IsingSpec) -> dict:
 def ising_from_json(obj: dict) -> IsingSpec:
     fields = obj.get("fields")
     return IsingSpec(
-        tuple(obj["vertices"]),
-        tuple((u, v, parse_fraction(x)) for u, v, x in obj["edges"]),
-        tuple(parse_fraction(f) for f in fields) if fields else None,
+        tuple(obj["vertices"]), tuple(obj["edges"]), tuple(fields) if fields else None
     )
 
 

@@ -93,12 +93,16 @@ def _repro(suite: str, cfg: RunConfig, row_id: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# instance workers (top level so they pickle across worker processes)
+# row workers (top level so they pickle across worker processes)
 # ---------------------------------------------------------------------------
 
 
-def _fkg_pipeline_instance(args):
-    n, seed = args
+def _run_row(spec):
+    worker, args = spec
+    return worker(*args)
+
+
+def _fkg_pipeline_instance(n, seed):
     m = random_fkg_measure(n, seed)
     rep = fkg_theorem_pipeline(m)
     row = {
@@ -117,8 +121,7 @@ def _fkg_pipeline_instance(args):
     return row
 
 
-def _fkg_equiv_instance(args):
-    n, seed = args
+def _fkg_equiv_instance(n, seed):
     m = random_measure(n, seed)
     direct = is_fkg(m)
     folded = is_fkg_via_foldings(m)
@@ -143,8 +146,7 @@ def _random_path(rng: random.Random, sites: tuple, length: int) -> FoldPath:
     return FoldPath(tuple(steps))
 
 
-def _reorder_instance(args):
-    (seed,) = args
+def _reorder_instance(seed):
     m = random_measure(3, seed)
     rng = random.Random(seed ^ 0x5EED)
     path = _random_path(rng, m.space.sites, 4)
@@ -158,8 +160,7 @@ def _reorder_instance(args):
     }
 
 
-def _converge_instance(args):
-    n, seed = args
+def _converge_instance(n, seed):
     m = random_measure(n, seed)
     checks = 0
     ok = True
@@ -188,17 +189,13 @@ def _converge_instance(args):
 
 
 def _ising_weights(n_edges: int, weighting: str) -> list[Fraction]:
-    table = {"2": Fraction(2), "3": Fraction(3), "5/2": Fraction(5, 2)}
-    if weighting in table:
-        return [table[weighting]] * n_edges
     if weighting == "mixed":
         cycle = [Fraction(2), Fraction(3), Fraction(5, 2)]
         return [cycle[i % 3] for i in range(n_edges)]
-    raise RcfoldError(f"unknown weighting {weighting!r}")
+    return [Fraction(weighting)] * n_edges
 
 
-def _rcr_roundtrip_instance(args):
-    v, edges, weighting = args
+def _rcr_roundtrip_instance(v, edges, weighting):
     xs = _ising_weights(len(edges), weighting)
     spec = IsingSpec(tuple(range(1, v + 1)), tuple((u, w, x) for (u, w), x in zip(edges, xs)))
     build = ising_build(spec)  # internally cross-checks the cluster marginal
@@ -216,8 +213,7 @@ def _rcr_roundtrip_instance(args):
     }
 
 
-def _sublattice_row(args):
-    (m,) = args
+def _sublattice_row(m):
     space = binary_space(m)
     total = 1 << space.size
     sublattices = 0
@@ -246,8 +242,7 @@ def _sublattice_row(args):
     }
 
 
-def _nfkg_instance(args):
-    n, seed = args
+def _nfkg_instance(n, seed):
     m = random_nfkg_measure(n, seed)
     nfkg_ok = is_nfkg(m).verdict
     na = is_na(m)
@@ -266,30 +261,32 @@ def _nfkg_instance(args):
     return row
 
 
-def _ulc_chunk(args):
-    n, start, chunk = args
-    checked = 0
+def _ulc_chunk(n, start, chunk):
     ulc_count = 0
     failures = []
     for levels in chunk:
-        checked += 1
         lv = ExchangeableLevels.from_weights(n, levels)
         if not is_ulc(lv):
             continue
         ulc_count += 1
         if not is_na(exchangeable_from_levels(lv)).verdict:
             failures.append(list(levels))
-    return {"n": n, "start": start, "checked": checked, "ulc": ulc_count, "failures": failures}
+    return {
+        "kind": "ulc-na",
+        "n": n,
+        "start": start,
+        "checked": len(chunk),
+        "ulc": ulc_count,
+        "failures": failures,
+        "ok": not failures,
+    }
 
 
-def _snfkg_instance(args):
-    kind, n, seed = args
+def _snfkg_instance(kind, n, seed):
     if kind == "perturbed":
         m = perturb(random_nfkg_measure(n, seed), Fraction(1, 8))
-    elif kind == "pairing":
-        m = induced_measure(complete_pairing_base(binary_space(n)))
     else:
-        raise RcfoldError(f"unknown instance kind {kind!r}")
+        m = induced_measure(complete_pairing_base(binary_space(n)))
     rep = snfkg_limit_rcr(m)
     row = {
         "kind": f"snfkg-{kind}",
@@ -305,8 +302,7 @@ def _snfkg_instance(args):
     return row
 
 
-def _bk_instance(args):
-    kind, seed = args
+def _bk_instance(kind, seed):
     if kind == "uniform":
         m = Measure.uniform(binary_space(3))
     else:
@@ -328,8 +324,7 @@ _GRAPHS_232 = {
 }
 
 
-def _cluster_bound_instance(args):
-    (graph_name,) = args
+def _cluster_bound_instance(graph_name):
     v, edges = _GRAPHS_232[graph_name]
     spec = IsingSpec(tuple(range(1, v + 1)), tuple((u, w, Fraction(2)) for u, w in edges))
     build = ising_build(spec)
@@ -354,8 +349,7 @@ def _cluster_bound_instance(args):
     return row
 
 
-def _hypothesis_instance(args):
-    kind, n, seed, n_pairs, rule_names = args
+def _hypothesis_instance(kind, n, seed, n_pairs, rule_names):
     rng = random.Random(seed)
     if kind == "product":
         m = random_product_measure(n, rng)
@@ -408,11 +402,13 @@ def connected_graphs(vmax: int):
     return out
 
 
-def _assemble(suite: str, cfg: RunConfig, params: dict, worker, specs) -> dict:
+def _assemble(suite: str, cfg: RunConfig, params: dict, specs) -> dict:
+    """Run the rows ``specs`` names, each a (worker, args) pair, and build the
+    report."""
     if cfg.only is not None and cfg.only >= len(specs):
         raise RcfoldError(f"{suite} has {len(specs)} rows; only={cfg.only} names none")
     ids = list(range(len(specs))) if cfg.only is None else [cfg.only]
-    rows = pmap(worker, [specs[i] for i in ids], cfg.jobs)
+    rows = pmap(_run_row, [specs[i] for i in ids], cfg.jobs)
     instances = []
     failed = 0
     for row_id, row in zip(ids, rows):
@@ -435,109 +431,83 @@ def suite_fkg_pa(cfg: RunConfig) -> dict:
     n3 = cfg.instances if cfg.instances is not None else 500
     n4 = max(1, n3 // 5)
     neq = n3 * 4
-    specs = []
-    specs += [("pipe", (3, _iseed(cfg.seed, 1, i))) for i in range(n3)]
-    specs += [("pipe", (4, _iseed(cfg.seed, 2, i))) for i in range(n4)]
     eq_sizes = [1, 2, 3]
+    specs = [(_fkg_pipeline_instance, (3, _iseed(cfg.seed, 1, i))) for i in range(n3)]
+    specs += [(_fkg_pipeline_instance, (4, _iseed(cfg.seed, 2, i))) for i in range(n4)]
     specs += [
-        ("equiv", (eq_sizes[i % 3], _iseed(cfg.seed, 3, i))) for i in range(neq)
+        (_fkg_equiv_instance, (eq_sizes[i % 3], _iseed(cfg.seed, 3, i))) for i in range(neq)
     ]
     params = {"pipeline_n3": n3, "pipeline_n4": n4, "equivalence": neq}
-    return _assemble("fkg-pa", cfg, params, _fkg_pa_worker, specs)
-
-
-def _fkg_pa_worker(spec):
-    tag, args = spec
-    return _fkg_pipeline_instance(args) if tag == "pipe" else _fkg_equiv_instance(args)
+    return _assemble("fkg-pa", cfg, params, specs)
 
 
 def suite_folding_convergence(cfg: RunConfig) -> dict:
     n_reorder = cfg.instances if cfg.instances is not None else 200
     n_conv = max(1, n_reorder // 2)
-    specs = []
-    specs += [("reorder", (_iseed(cfg.seed, 4, i),)) for i in range(n_reorder)]
     conv_sizes = [2, 3]
+    specs = [(_reorder_instance, (_iseed(cfg.seed, 4, i),)) for i in range(n_reorder)]
     specs += [
-        ("converge", (conv_sizes[i % 2], _iseed(cfg.seed, 5, i))) for i in range(n_conv)
+        (_converge_instance, (conv_sizes[i % 2], _iseed(cfg.seed, 5, i))) for i in range(n_conv)
     ]
     params = {"reorder": n_reorder, "convergence": n_conv}
-    return _assemble("folding-convergence", cfg, params, _folding_worker, specs)
-
-
-def _folding_worker(spec):
-    tag, args = spec
-    return _reorder_instance(args) if tag == "reorder" else _converge_instance(args)
+    return _assemble("folding-convergence", cfg, params, specs)
 
 
 def suite_rcr_roundtrip(cfg: RunConfig) -> dict:
     vmax = 4 if cfg.instances is None or cfg.instances >= 38 else 3
     weightings = ["2", "3", "5/2", "mixed"]
     specs = [
-        (v, edges, w) for v, edges in connected_graphs(vmax) for w in weightings
+        (_rcr_roundtrip_instance, (v, edges, w))
+        for v, edges in connected_graphs(vmax)
+        for w in weightings
     ]
     params = {"vmax": vmax, "weightings": weightings, "graphs": len(specs) // len(weightings)}
-    return _assemble("rcr-roundtrip", cfg, params, _rcr_roundtrip_instance, specs)
+    return _assemble("rcr-roundtrip", cfg, params, specs)
 
 
 def suite_sublattice(cfg: RunConfig) -> dict:
     mmax = 4 if cfg.instances is None or cfg.instances >= 4 else 3
-    specs = [(m,) for m in range(mmax + 1)]
-    return _assemble("sublattice", cfg, {"m_max": mmax}, _sublattice_row, specs)
+    specs = [(_sublattice_row, (m,)) for m in range(mmax + 1)]
+    return _assemble("sublattice", cfg, {"m_max": mmax}, specs)
 
 
 def suite_nfkg_na(cfg: RunConfig) -> dict:
     count = cfg.instances if cfg.instances is not None else 200
     sizes = [1, 2, 3]
-    specs = [
-        ("nfkg", (sizes[i % 3], _iseed(cfg.seed, 6, i))) for i in range(count)
-    ]
+    specs = [(_nfkg_instance, (sizes[i % 3], _iseed(cfg.seed, 6, i))) for i in range(count)]
     ulc_ns = (3, 4, 5) if cfg.instances is None else (3,)
     chunk_size = 64
     for n in ulc_ns:
         level_vectors = list(iter_product(range(1, 5), repeat=n + 1))
         for start in range(0, len(level_vectors), chunk_size):
-            specs.append(("ulc", (n, start, tuple(level_vectors[start : start + chunk_size]))))
+            chunk = tuple(level_vectors[start : start + chunk_size])
+            specs.append((_ulc_chunk, (n, start, chunk)))
     params = {"nfkg": count, "ulc_ns": list(ulc_ns)}
-    return _assemble("nfkg-na", cfg, params, _nfkg_na_worker, specs)
-
-
-def _nfkg_na_worker(spec):
-    tag, args = spec
-    if tag == "nfkg":
-        return _nfkg_instance(args)
-    row = _ulc_chunk(args)
-    return {
-        "kind": "ulc-na",
-        "n": row["n"],
-        "start": row["start"],
-        "checked": row["checked"],
-        "ulc": row["ulc"],
-        "failures": row["failures"],
-        "ok": not row["failures"],
-    }
+    return _assemble("nfkg-na", cfg, params, specs)
 
 
 def suite_snfkg_na(cfg: RunConfig) -> dict:
     count = cfg.instances if cfg.instances is not None else 100
     sizes = [1, 2, 3]
     specs = [
-        ("perturbed", sizes[i % 3], _iseed(cfg.seed, 8, i)) for i in range(count)
+        (_snfkg_instance, ("perturbed", sizes[i % 3], _iseed(cfg.seed, 8, i)))
+        for i in range(count)
     ]
-    specs += [("pairing", n, 0) for n in (2, 3, 4)]
+    specs += [(_snfkg_instance, ("pairing", n, 0)) for n in (2, 3, 4)]
     params = {"perturbed": count, "pairing_ns": [2, 3, 4]}
-    return _assemble("snfkg-na", cfg, params, _snfkg_instance, specs)
+    return _assemble("snfkg-na", cfg, params, specs)
 
 
 def suite_bk_sanity(cfg: RunConfig) -> dict:
     count = cfg.instances if cfg.instances is not None else 3
-    specs = [("product", _iseed(cfg.seed, 9, i)) for i in range(count)]
-    specs.append(("uniform", 0))
-    return _assemble("bk-sanity", cfg, {"products": count}, _bk_instance, specs)
+    specs = [(_bk_instance, ("product", _iseed(cfg.seed, 9, i))) for i in range(count)]
+    specs.append((_bk_instance, ("uniform", 0)))
+    return _assemble("bk-sanity", cfg, {"products": count}, specs)
 
 
 def suite_lemma_232(cfg: RunConfig) -> dict:
-    specs = [(name,) for name in _GRAPHS_232]
-    return _assemble("lemma-232", cfg, {"graphs": list(_GRAPHS_232)}, _cluster_bound_instance, specs)
+    specs = [(_cluster_bound_instance, (name,)) for name in _GRAPHS_232]
+    return _assemble("lemma-232", cfg, {"graphs": list(_GRAPHS_232)}, specs)
 
 
 def suite_lemma_233(cfg: RunConfig) -> dict:
@@ -545,11 +515,12 @@ def suite_lemma_233(cfg: RunConfig) -> dict:
     sizes = [2, 3]
     rules = ("full", "increasing_only")
     specs = [
-        ("fkg", sizes[i % 2], _iseed(cfg.seed, 10, i), 12, rules) for i in range(count)
+        (_hypothesis_instance, ("fkg", sizes[i % 2], _iseed(cfg.seed, 10, i), 12, rules))
+        for i in range(count)
     ]
-    specs.append(("product", 2, _iseed(cfg.seed, 11, 0), 0, ("full",)))
+    specs.append((_hypothesis_instance, ("product", 2, _iseed(cfg.seed, 11, 0), 0, ("full",))))
     params = {"fkg_instances": count, "pairs_per_instance": 12, "rules": list(rules)}
-    return _assemble("lemma-233", cfg, params, _hypothesis_instance, specs)
+    return _assemble("lemma-233", cfg, params, specs)
 
 
 SUITES = {

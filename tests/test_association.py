@@ -25,7 +25,9 @@ from rcfold import (
     snfkg_limit_rcr,
     sup_distance,
 )
+from rcfold import association
 from rcfold.association import _distinct_limits
+from rcfold.errors import InvariantViolated
 from rcfold.folding import FoldingUndefined, _first_fold_specs
 from rcfold.generators import (
     random_fkg_measure,
@@ -177,6 +179,23 @@ class TestIsSnfkg:
         for seed in range(10):
             m = perturb(random_nfkg_measure(3, seed), F(1, 8))
             assert is_snfkg(m).verdict
+
+    def test_strict_without_weak_is_an_invariant_violation(self, monkeypatch):
+        monkeypatch.setattr(association, "_nfkg_violation", lambda folds: {"fold": "stub"})
+        with pytest.raises(InvariantViolated, match="without the weak one"):
+            is_snfkg(uniform_01_10())
+
+    def test_strict_not_preserved_is_an_invariant_violation(self, monkeypatch):
+        original = association._snfkg_violation
+        calls = []
+
+        def second_call_fails(folds):
+            calls.append(folds)
+            return original(folds) if len(calls) == 1 else {"reason": "stub"}
+
+        monkeypatch.setattr(association, "_snfkg_violation", second_call_fails)
+        with pytest.raises(InvariantViolated, match="not preserved by a folding"):
+            is_snfkg(uniform_01_10())
 
 
 class TestPipelines:

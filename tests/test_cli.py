@@ -5,10 +5,10 @@ import sys
 import pytest
 
 from rcfold.cli import main
-from rcfold.serialize import dumps_canonical, measure_to_json
+from rcfold.serialize import base_to_json, dumps_canonical, measure_to_json
 from rcfold.suites import RunConfig, run_suite, render_report
 from rcfold.generators import binary_space
-from rcfold import Measure
+from rcfold import Event, IsingSpec, Measure, ising_build
 
 
 def run_cli(args, capsys):
@@ -267,6 +267,39 @@ class TestCheckAndPipeline:
         del obj["alphabets"]
         self.assert_usage_error(write_json(tmp_path, "m.json", obj), capsys)
 
+    @staticmethod
+    def assert_one_line_error(argv, code, capsys):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_zero_denominator_weight_is_usage_error(self, tmp_path, capsys):
+        obj = measure_to_json(Measure.uniform(binary_space(1)))
+        obj["weights"][0] = "1/0"
+        self.assert_one_line_error(["check", "fkg", write_json(tmp_path, "m.json", obj)], 2, capsys)
+
+    def test_zero_denominator_atom_weight_is_usage_error(self, tmp_path, capsys):
+        build = ising_build(IsingSpec((1, 2), ((1, 2, 2),)))
+        base = base_to_json(build.base)
+        base["atoms"][0]["weight"] = "1/0"
+        measure = write_json(tmp_path, "m.json", measure_to_json(build.measure))
+        argv = ["rcr", "verify", measure, write_json(tmp_path, "b.json", base)]
+        self.assert_one_line_error(argv, 2, capsys)
+
+    def test_zero_denominator_edge_weight_is_usage_error(self, tmp_path, capsys):
+        spec = {"vertices": [1, 2], "edges": [[1, 2, "2/0"]], "fields": None}
+        argv = ["rcr", "ising", write_json(tmp_path, "spec.json", spec)]
+        self.assert_one_line_error(argv, 2, capsys)
+
+    def test_failed_self_check_exits_3(self, tmp_path, capsys, monkeypatch):
+        from rcfold import association
+
+        monkeypatch.setattr(association, "_nfkg_violation", lambda folds: {"fold": "stub"})
+        snfkg = Measure.uniform_on(Event.from_indices(binary_space(2), [1, 2]))
+        m = write_json(tmp_path, "m.json", measure_to_json(snfkg))
+        self.assert_one_line_error(["check", "snfkg", m], 3, capsys)
+
     def test_check_ulc(self, tmp_path, capsys):
         m = write_json(
             tmp_path,
@@ -422,10 +455,11 @@ class TestDeterminismSmoke:
     def test_failing_row_embeds_repro_command(self):
         from rcfold.suites import _assemble
 
+        def stub(ok):
+            return {"kind": "stub", "ok": ok}
+
         cfg = RunConfig(seed=9, instances=2)
-        report = _assemble(
-            "bk-sanity", cfg, {}, lambda spec: {"kind": "stub", "ok": spec}, [True, False]
-        )
+        report = _assemble("bk-sanity", cfg, {}, [(stub, (True,)), (stub, (False,))])
         assert report["ok"] is False
         failing = report["instances"][1]
         assert failing["repro"] == "rcfold suite bk-sanity --seed 9 --only 1 --instances 2"

@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from rcfold import InvalidParams, is_fkg, is_nfkg
+from rcfold import (
+    AssociationReport,
+    InvalidParams,
+    InvariantViolated,
+    generators,
+    is_fkg,
+    is_nfkg,
+)
 from rcfold.generators import (
     exchangeable_measure,
     ising_spec_from_edge_list,
@@ -63,6 +70,20 @@ class TestRandomMeasures:
         w = m.weights
         # independence: the cross ratio collapses
         assert w[0] * w[3] == w[1] * w[2]
+
+
+class TestRecheckFailures:
+    FAIL = AssociationReport(False, None, {})
+
+    def test_fkg_recheck(self, monkeypatch):
+        monkeypatch.setattr(generators, "is_fkg", lambda m: self.FAIL)
+        with pytest.raises(InvariantViolated, match="lattice condition"):
+            random_fkg_measure(3, 1)
+
+    def test_nfkg_recheck(self, monkeypatch):
+        monkeypatch.setattr(generators, "is_nfkg", lambda m: self.FAIL)
+        with pytest.raises(InvariantViolated, match="weak negative condition"):
+            random_nfkg_measure(3, 1)
 
 
 class TestNamedGenerators:

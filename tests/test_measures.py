@@ -8,6 +8,7 @@ from rcfold import (
     AllZero,
     CapExceeded,
     Config,
+    InvalidParams,
     Event,
     Measure,
     OverlappingDomains,
@@ -289,3 +290,10 @@ class TestMeasureJson:
         sp = SiteSpace(("a", "b"), (("x", "y", "z"), (0, 1)))
         m = normalize(sp, [1] * 6)
         assert measure_from_json(measure_to_json(m)) == m
+
+    @pytest.mark.parametrize("bad", ["1/0", "abc", "", 0.5, None, ["1/2"]])
+    def test_malformed_weight_is_invalid_params(self, bad):
+        obj = measure_to_json(Measure.uniform(binary(1)))
+        obj["weights"][0] = bad
+        with pytest.raises(InvalidParams):
+            measure_from_json(obj)

@@ -29,6 +29,9 @@ from rcfold import (
     verify_rcr,
 )
 
+from rcfold import rcr
+from rcfold.errors import InvariantViolated
+
 from oracles import brute_induced_measure, brute_sublattice_flags
 
 F = Fraction
@@ -363,6 +366,13 @@ class TestSublattice:
             flags = check_sublattice(event)
             assert tuple(vars(flags).values()) == brute_sublattice_flags(event)
 
+    def test_separation_lemma_failure_is_an_invariant_violation(self, monkeypatch):
+        # {01, 10} is symmetric and separating but no sublattice; a closure
+        # test that wrongly accepts it makes the lemma's re-check fire
+        monkeypatch.setattr(rcr, "_join_meet_closed", lambda d: True)
+        with pytest.raises(InvariantViolated, match="separation lemma"):
+            check_sublattice(Event.from_indices(binary(2), [1, 2]))
+
 
 class TestCompletePairing:
     def test_two_sites(self):
@@ -458,3 +468,9 @@ class TestIsing:
         for edges in [((1, 2, F(3)),), ((1, 2, F(2)), (2, 3, F(5, 2)))]:
             vertices = tuple(sorted({v for e in edges for v in e[:2]}))
             ising_build(IsingSpec(vertices, edges))
+
+    def test_marginal_mismatch_is_an_invariant_violation(self, monkeypatch):
+        # one cluster per assignment breaks the closed formula's 2^clusters
+        monkeypatch.setattr(rcr, "clusters", lambda eta: (frozenset({1, 2}),))
+        with pytest.raises(InvariantViolated, match="cluster marginal mismatch"):
+            ising_build(ising_edge(2))

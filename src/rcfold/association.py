@@ -7,13 +7,17 @@ balanced configurations (number of ones within 1/2 of half the sites) be
 maxima of every defined folding, weakly (NFKG) or strictly and equal-valued
 (SNFKG). Positive and negative association are verified by exhaustive scans
 over increasing event pairs, the negative scan restricted to pairs carried
-by complementary coordinate sets.
+by complementary coordinate sets. The positive scan compares each up-set
+with every up-set at once, in the packed guarded fields of
+``measures.GuardedFields``.
 
 The two pipelines walk every essential branch of the folding tree down to
 its limiting distribution and certify it by an explicit cluster base: a
 ferromagnetic pair base built from the limit's support on the positive
-side, the uniform complete-pairing base on the strict negative side. All
-arithmetic is exact.
+side, the uniform complete-pairing base on the strict negative side. A
+positive-side limit is uniform on its argmax set, so its certificate is
+computed once per distinct argmax set (``_limit_certificate``), however
+many limits share it. All arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -44,6 +48,7 @@ from .measures import (
     UPSET_CAP,
     Config,
     Event,
+    GuardedFields,
     Measure,
     SiteSpace,
     _upset_masks,
@@ -146,31 +151,56 @@ def is_fkg_via_foldings(p: Measure) -> AssociationReport:
 
 
 def is_pa(p: Measure, cap: int = UPSET_CAP) -> AssociationReport:
-    """P(A and B) >= P(A) P(B) over all pairs of increasing events."""
+    """P(A and B) >= P(A) P(B) over all pairs of increasing events.
+
+    With weights ``nums`` over ``den`` and w(E) the weight of E, a pair
+    fails when ``den * w(A and B) < w(A) * w(B)``. Each up-set A is compared
+    with every up-set B at once in ``GuardedFields``, B owning field B:
+    ``_upset_rows`` gives, per configuration x, the row holding 1 in the
+    field of each B containing x, so the weight summer run over ``den *
+    nums[x]`` times those rows gives ``den * w(A and B)`` for every B from
+    the bytes of A's mask. Both sides are at most ``den**2``. The witness
+    is the first failing pair (A, B) with B at or after A in up-set order.
+    """
     _require_binary(p.space, "positive association")
     n = p.space.n
     if n > cap:
         raise CapExceeded(f"|sites|={n} exceeds cap {cap}")
     ups = _upset_masks(n)
     nums, den = p.int_weights
-    wsum = weight_summer(nums, p.space.size)
+    size = p.space.size
+    wsum = weight_summer(nums, size)
     sums = [wsum(m) for m in ups]
-    for i in range(len(ups)):
-        si = sums[i]
-        mi = ups[i]
-        for j in range(i, len(ups)):
-            if wsum(mi & ups[j]) * den < si * sums[j]:
-                return AssociationReport(
-                    False,
-                    {
-                        "A": _event_configs(Event(p.space, mi)),
-                        "B": _event_configs(Event(p.space, ups[j])),
-                        "lhs": Fraction(wsum(mi & ups[j]), den),
-                        "rhs": Fraction(si * sums[j], den * den),
-                    },
-                    {"upsets": len(ups), "pairs": len(ups) ** 2},
-                )
-    return AssociationReport(True, None, {"upsets": len(ups), "pairs": len(ups) ** 2})
+    fields = GuardedFields.holding(len(ups), den * den)
+    rows = _upset_rows(n)
+    meets = weight_summer([den * w * fields.spread(row) for w, row in zip(nums, rows)], size)
+    packed_sums = fields.pack(sums)
+    log = {"upsets": len(ups), "pairs": len(ups) ** 2}
+    for ma, sa in zip(ups, sums):
+        bad = fields.below(meets(ma), sa * packed_sums)
+        if bad:
+            # the condition is symmetric in A and B, so the first failing A
+            # fails at no B before it: that pair would have failed earlier
+            mb = ups[next(fields.indices(bad))]
+            return AssociationReport(
+                False,
+                {
+                    "A": _event_configs(Event(p.space, ma)),
+                    "B": _event_configs(Event(p.space, mb)),
+                    "lhs": Fraction(wsum(ma & mb), den),
+                    "rhs": Fraction(sa * wsum(mb), den * den),
+                },
+                log,
+            )
+    return AssociationReport(True, None, log)
+
+
+@lru_cache(maxsize=None)  # keyed on the site count n, at most UPSET_CAP + 1 entries in use
+def _upset_rows(n: int) -> tuple[bytes, ...]:
+    """Row x holds one byte per up-set of the binary n-cube, in
+    ``_upset_masks`` order: 1 where configuration x is a member."""
+    ups = _upset_masks(n)
+    return tuple(bytes(m >> x & 1 for m in ups) for x in range(1 << n))
 
 
 @lru_cache(maxsize=None)  # 2**n entries per site count n, 63 for n = 0..UPSET_CAP
@@ -392,7 +422,9 @@ def fkg_theorem_pipeline(p: Measure) -> PipelineReport:
     Requires the lattice condition. Each branch limit must be a symmetric
     uniform two-valued measure satisfying the lattice condition; its pair
     base must exist, be symmetric, ferromagnetic and pairwise, and
-    reproduce the limit exactly. The final stage is the exhaustive
+    reproduce the limit exactly. A limit is uniform on its argmax set, so
+    its certificate depends on that event alone: ``_limit_certificate``
+    runs it once per distinct event. The final stage is the exhaustive
     positive-association scan of p itself.
     """
     _require_binary(p.space, "the positive association pipeline")
@@ -404,27 +436,33 @@ def fkg_theorem_pipeline(p: Measure) -> PipelineReport:
     branches, limits = _distinct_limits(p)
     failures: list[BranchFailure] = []
     for name, limit in limits:
-        argmax = limit.argmax_set
-        if argmax.bar() != argmax:
-            failures.append(BranchFailure(name, "symmetric", "limit support not reversal-closed"))
-            continue
-        if not is_fkg(limit.measure).verdict:
-            failures.append(BranchFailure(name, "lattice", "limit fails the lattice condition"))
-            continue
-        try:
-            base = construct_uniform_symmetric_rcr(argmax)
-        except PreconditionFailed as exc:
-            failures.append(BranchFailure(name, "construct", str(exc)))
-            continue
-        flags = predicates(base)
-        if not (flags.symmetric and flags.ferromagnetic and flags.pairwise):
-            failures.append(BranchFailure(name, "predicates", repr(flags)))
-            continue
-        if not verify_rcr(limit.measure, base, 0).ok:
-            failures.append(BranchFailure(name, "represent", "base does not reproduce the limit"))
+        failure = _limit_certificate(limit.argmax_set)
+        if failure is not None:
+            failures.append(BranchFailure(name, *failure))
     final = is_pa(p)
     ok = not failures and final.verdict
     return PipelineReport(ok, branches, len(limits), tuple(failures), final)
+
+
+@lru_cache(maxsize=256)  # distinct argmax sets: 37 on a full-size fkg-pa run
+def _limit_certificate(argmax: Event) -> tuple[str, str] | None:
+    """The first failing stage of the certificate of the uniform measure on
+    ``argmax``, as (stage, detail), or None when every stage passes."""
+    if argmax.bar() != argmax:
+        return "symmetric", "limit support not reversal-closed"
+    limit = Measure.uniform_on(argmax)
+    if not is_fkg(limit).verdict:
+        return "lattice", "limit fails the lattice condition"
+    try:
+        base = construct_uniform_symmetric_rcr(argmax)
+    except PreconditionFailed as exc:
+        return "construct", str(exc)
+    flags = predicates(base)
+    if not (flags.symmetric and flags.ferromagnetic and flags.pairwise):
+        return "predicates", repr(flags)
+    if not verify_rcr(limit, base, 0).ok:
+        return "represent", "base does not reproduce the limit"
+    return None
 
 
 @lru_cache(maxsize=32)  # per terminal space: 16 site subsets of a BRANCH_CAP-site space

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, islice, product as iter_product
 from typing import Iterable, Iterator, Sequence
 
@@ -110,19 +111,24 @@ class FoldPath:
 class BranchLimit:
     """Limit data for a branch: its essential prefix then empty steps forever.
 
-    ``measure`` is uniform on ``argmax_set``, the maxima of the measure
-    after the prefix. ``emitted_at`` (called L) is the step index of that
-    measure along the branch, counting the first fold as step 1. ``ratio``
-    is the largest weight of a non-maximal configuration divided by the
-    maximal weight; the sup-distance of the i-th iterate from the limit is
-    at most |Omega| * ratio ** (2 ** (i - L)).
+    The limit is uniform on ``argmax_set``, the maxima of the measure after
+    the prefix; ``measure`` builds it on first read, since the pipelines
+    walk thousands of limits and certify each distinct argmax set once.
+    ``emitted_at`` (called L) is the step index of that measure along the
+    branch, counting the first fold as step 1. ``ratio`` is the largest
+    weight of a non-maximal configuration divided by the maximal weight;
+    the sup-distance of the i-th iterate from the limit is at most
+    |Omega| * ratio ** (2 ** (i - L)).
     """
 
     space: SiteSpace
-    measure: Measure
     argmax_set: Event
     emitted_at: int
     ratio: Fraction
+
+    @cached_property
+    def measure(self) -> Measure:
+        return Measure.uniform_on(self.argmax_set)
 
 
 @dataclass(frozen=True)
@@ -278,7 +284,7 @@ def _limit_from_nums(space: SiteSpace, nums: Sequence[int], emitted_at: int) -> 
     argmax = Event.from_indices(space, (i for i, w in enumerate(nums) if w == top))
     below = [w for w in nums if 0 < w < top]
     ratio = Fraction(max(below), top) if below else Fraction(0)
-    return BranchLimit(space, Measure.uniform_on(argmax), argmax, emitted_at, ratio)
+    return BranchLimit(space, argmax, emitted_at, ratio)
 
 
 def branch_limit(p: Measure, essential_prefix: FoldPath | Sequence[FoldSpec]) -> BranchLimit:

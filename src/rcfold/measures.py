@@ -389,7 +389,8 @@ def enumerate_upsets(space: SiteSpace) -> tuple[Event, ...]:
     return tuple(Event(space, m) for m in masks)
 
 
-def _upset_masks(n: int) -> list[int]:
+@lru_cache(maxsize=None)  # keyed on the site count n, at most UPSET_CAP + 1 entries in use
+def _upset_masks(n: int) -> tuple[int, ...]:
     masks = [0, 1]
     for k in range(1, n + 1):
         half = 1 << (k - 1)
@@ -400,7 +401,7 @@ def _upset_masks(n: int) -> list[int]:
             for b in prev
             if not a & ~b
         )
-    return masks
+    return tuple(masks)
 
 
 @dataclass(frozen=True)
@@ -498,3 +499,57 @@ def weight_summer(nums: Sequence[int], size: int) -> Callable[[int], int]:
         return s
 
     return total
+
+
+@dataclass(frozen=True)
+class GuardedFields:
+    """A row of ``count`` nonnegative fields packed into one Python int.
+
+    Field j is the ``nb`` bytes from byte ``nb * j`` on (little-endian), and
+    the top bit of each field is a guard that no held value reaches. Setting
+    every guard of one row and subtracting another row then compares all
+    fields at once: a held value is below ``2**(8*nb - 1)``, so each field's
+    difference stays inside its field, and its guard survives exactly where
+    the first row is at least the second. The exhaustive pair scans compare
+    one event with every other event this way (``association.is_pa``,
+    ``occurrence.box_product_sweep``).
+    """
+
+    count: int
+    nb: int
+
+    @classmethod
+    def holding(cls, count: int, bound: int) -> "GuardedFields":
+        """Fields wide enough to hold values in [0, bound] below their guard."""
+        return cls(count, (bound.bit_length() + 8) // 8)
+
+    @property
+    def bits(self) -> int:
+        return 8 * self.nb
+
+    def pack(self, values: Iterable[int]) -> int:
+        """The row whose field j holds values[j]."""
+        nb = self.nb
+        return int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in values), "little")
+
+    def spread(self, unit: bytes) -> int:
+        """The row whose field j holds the byte unit[j]."""
+        buf = bytearray(len(unit) * self.nb)
+        buf[:: self.nb] = unit
+        return int.from_bytes(buf, "little")
+
+    @cached_property
+    def guard(self) -> int:
+        return self.spread(b"\x80" * self.count) << (self.bits - 8)
+
+    def below(self, lhs: int, rhs: int) -> int:
+        """The guards of the fields where row lhs is below row rhs."""
+        guard = self.guard
+        return ~((lhs | guard) - rhs) & guard
+
+    def indices(self, guards: int) -> Iterator[int]:
+        """The fields whose guard is set in ``guards``, in ascending order."""
+        while guards:
+            low = guards & -guards
+            yield low.bit_length() // self.bits - 1
+            guards ^= low

@@ -27,6 +27,7 @@ from .folding import FoldSpec, FoldWindow, _defined_folds, _first_folds, fold_wi
 from .measures import (
     Config,
     Event,
+    GuardedFields,
     Measure,
     SiteSpace,
     _cylinder_table,
@@ -189,24 +190,21 @@ def box_product_sweep(p: Measure) -> dict:
 
     With weights ``nums`` over ``den`` and w(E) the weight of E, a pair
     fails when ``den * w(A box B) > w(A) * w(B)``. One A meets all B at
-    once in packed integers, B owning the field of ``width =
-    (den*den).bit_length() + 1`` bits at bit ``width * B``, top bit a
-    guard: left sides are ``den * nums[i]`` times ORs of packed up-sets
-    (the B holding a cylinder of i on a mask A allows there), right sides
-    ``w(A)`` times the packed event weights. Right minus left, guards set,
-    clears a guard exactly where left is larger: both sides are at most
-    ``den**2 < 2**(width - 1)``, so no borrow crosses a field. Returns the
-    pair count and the violating pairs (as event masks) in (A, B) order.
+    once in ``GuardedFields``, B owning field B: left sides are ``den *
+    nums[i]`` times ORs of packed up-sets (the B holding a cylinder of i on
+    a mask A allows there), right sides ``w(A)`` times the packed event
+    weights, both at most ``den**2``. Returns the pair count and the
+    violating pairs (as event masks) in (A, B) order.
     """
     size = p.space.size
     n_events = 1 << size
     within = _subset_sets(p.space.n)
     nums, den = p.int_weights
     table = _cylinder_table(p.space)
-    width = (den * den).bit_length() + 1
+    fields = GuardedFields.holding(n_events, den * den)
+    width = fields.bits
     sums = list(map(weight_summer(nums, size), range(n_events)))
-    packed_sums = int("".join(format(s, f"0{width}b") for s in reversed(sums)), 2)
-    guard = int(("0" * (width - 1)).join("1" * n_events), 2) << (width - 1)
+    packed_sums = fields.pack(sums)
 
     @cache
     def upset(cyl: int) -> int:
@@ -225,11 +223,9 @@ def box_product_sweep(p: Measure) -> dict:
     violations = []
     for a in range(n_events):
         lhs = sum(term(i, _witness_set(row, a)) for i, row in enumerate(table) if nums[i])
-        bad = ~((sums[a] * packed_sums | guard) - lhs) & guard
-        while bad:
-            low = bad & -bad
-            violations.append((a, low.bit_length() // width - 1))
-            bad ^= low
+        bad = fields.below(sums[a] * packed_sums, lhs)
+        if bad:
+            violations.extend((a, b) for b in fields.indices(bad))
     return {"pairs": n_events * n_events, "violations": violations}
 
 

@@ -162,7 +162,7 @@ def ising_to_json(spec: IsingSpec) -> dict:
 def ising_from_json(obj: dict) -> IsingSpec:
     fields = obj.get("fields")
     return IsingSpec(
-        tuple(obj["vertices"]), tuple(obj["edges"]), tuple(fields) if fields else None
+        tuple(obj["vertices"]), tuple(obj["edges"]), None if fields is None else tuple(fields)
     )
 
 

@@ -335,3 +335,64 @@ def fraction_folding_hypothesis(p: Measure, rule, a: Event, b: Event, eps) -> tu
     failures = tuple(spec for spec, gap in gaps if gap > eps)
     lhs = p.prob(box_with_rule(a, b, rule))
     return failures, len(gaps), lhs, p.prob(a) * p.prob(b)
+
+
+def loop_is_pa(p: Measure):
+    """(verdict, witness, quantifier log) of the positive-association scan
+    as one pair loop: every up-set A against every up-set B at or after it,
+    the first pair with ``den * w(A and B) < w(A) * w(B)`` the witness."""
+    from rcfold.association import _event_configs
+    from rcfold.measures import _upset_masks
+
+    ups = _upset_masks(p.space.n)
+    nums, den = p.int_weights
+    wsum = weight_summer(nums, p.space.size)
+    sums = [wsum(m) for m in ups]
+    for i in range(len(ups)):
+        si = sums[i]
+        mi = ups[i]
+        for j in range(i, len(ups)):
+            if wsum(mi & ups[j]) * den < si * sums[j]:
+                return (
+                    False,
+                    {
+                        "A": _event_configs(Event(p.space, mi)),
+                        "B": _event_configs(Event(p.space, ups[j])),
+                        "lhs": Fraction(wsum(mi & ups[j]), den),
+                        "rhs": Fraction(si * sums[j], den * den),
+                    },
+                    {"upsets": len(ups), "pairs": len(ups) ** 2},
+                )
+    return True, None, {"upsets": len(ups), "pairs": len(ups) ** 2}
+
+
+def loop_limit_failures(p: Measure) -> tuple:
+    """The branch failures of the positive-association pipeline, certifying
+    every distinct limit afresh from its measure. The certificate stages
+    are looked up on the association module at call time, so a test that
+    patches one patches it here too."""
+    from rcfold import association
+    from rcfold.association import BranchFailure, _distinct_limits
+    from rcfold.errors import PreconditionFailed
+
+    failures = []
+    for name, limit in _distinct_limits(p)[1]:
+        argmax = limit.argmax_set
+        if argmax.bar() != argmax:
+            failures.append(BranchFailure(name, "symmetric", "limit support not reversal-closed"))
+            continue
+        if not association.is_fkg(limit.measure).verdict:
+            failures.append(BranchFailure(name, "lattice", "limit fails the lattice condition"))
+            continue
+        try:
+            base = association.construct_uniform_symmetric_rcr(argmax)
+        except PreconditionFailed as exc:
+            failures.append(BranchFailure(name, "construct", str(exc)))
+            continue
+        flags = association.predicates(base)
+        if not (flags.symmetric and flags.ferromagnetic and flags.pairwise):
+            failures.append(BranchFailure(name, "predicates", repr(flags)))
+            continue
+        if not association.verify_rcr(limit.measure, base, 0).ok:
+            failures.append(BranchFailure(name, "represent", "base does not reproduce the limit"))
+    return tuple(failures)

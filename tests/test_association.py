@@ -25,9 +25,11 @@ from rcfold import (
     snfkg_limit_rcr,
     sup_distance,
 )
-from rcfold import association
+from rcfold import Event, association
 from rcfold.association import _distinct_limits
 from rcfold.errors import InvariantViolated
+from rcfold.measures import GuardedFields
+from rcfold.rcr import BasePredicates, RcrCheck
 from rcfold.folding import FoldingUndefined, _first_fold_specs
 from rcfold.generators import (
     random_fkg_measure,
@@ -36,7 +38,7 @@ from rcfold.generators import (
     random_product_measure,
 )
 
-from oracles import scoped_na_check, stream_distinct_limits
+from oracles import loop_is_pa, loop_limit_failures, scoped_na_check, stream_distinct_limits
 
 F = Fraction
 
@@ -119,6 +121,124 @@ class TestIsPa:
         assert not rep.verdict
         assert rep.witness["lhs"] == F(0)
         assert rep.witness["rhs"] == F(1, 4)
+
+
+def product_measure(n, rng, den):
+    """A product measure whose site marginals have the power of two den as
+    their denominator."""
+    margins = [F(rng.randrange(1, den) | 1, den) for _ in range(n)]
+    weights = []
+    for i in range(1 << n):
+        w = F(1)
+        for j, m in enumerate(margins):
+            w *= m if i >> (n - 1 - j) & 1 else 1 - m
+        weights.append(w)
+    return Measure(binary(n), tuple(weights))
+
+
+def pa_measures(family):
+    rng = random.Random(family)
+    if family == "zero-weights":
+        return [sparse_measure(n, rng) for n in range(1, 5) for _ in range(12)]
+    if family == "point-mass":
+        return [
+            Measure.uniform_on(Event.from_indices(binary(n), [x]))
+            for n in range(5)
+            for x in range(1 << n)
+        ]
+    if family == "random":
+        return [random_measure(n, seed) for n in range(5) for seed in range(12)]
+    if family == "log-supermodular":
+        return [random_fkg_measure(n, seed) for n in range(1, 5) for seed in range(12)]
+    if family == "product":
+        return [product_measure(n, rng, 8) for n in range(5) for _ in range(12)]
+    # den > 2**40, so every field is wider than 64 bits
+    return [
+        normalize(binary(n), [rng.randrange(1 << 40, 1 << k) for _ in range(1 << n)])
+        for n in range(1, 5)
+        for k in range(41, 49)
+    ] + [product_measure(n, rng, 1 << 21) for n in range(2, 5) for _ in range(8)]
+
+
+class TestIsPaOracle:
+    """The packed up-set scan against the plain pair loop: the same verdict,
+    witness and counts on binary spaces of 0 to 4 sites."""
+
+    FAMILIES = {
+        "log-supermodular": 48,
+        "point-mass": 31,
+        "product": 60,
+        "random": 60,
+        "wide-fields": 56,
+        "zero-weights": 48,
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_the_pair_loop(self, family):
+        measures = pa_measures(family)
+        assert len(measures) == self.FAMILIES[family]
+        for m in measures:
+            rep = is_pa(m)
+            assert (rep.verdict, rep.witness, rep.quantifier_log) == loop_is_pa(m)
+
+    def test_data_reaches_both_verdicts(self):
+        verdicts = {
+            family: [is_pa(m).verdict for m in pa_measures(family)] for family in self.FAMILIES
+        }
+        assert all(verdicts["point-mass"] + verdicts["product"] + verdicts["log-supermodular"])
+        assert verdicts["random"].count(False) >= 30
+        assert verdicts["zero-weights"].count(False) >= 20
+        assert 10 <= verdicts["wide-fields"].count(False) <= 46
+
+    def test_data_exercises_its_family(self):
+        assert all(0 in m.int_weights[0] for m in pa_measures("zero-weights"))
+        for m in pa_measures("wide-fields"):
+            den = m.int_weights[1]
+            assert den > 1 << 40 and GuardedFields.holding(1, den * den).bits > 64
+        assert {m.space.n for m in pa_measures("random")} == set(range(5))
+
+
+class TestLimitCertificates:
+    """The pipeline certifies each distinct argmax set once; its failures
+    must equal those of certifying every distinct limit afresh."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        association._limit_certificate.cache_clear()
+        yield
+        association._limit_certificate.cache_clear()
+
+    def test_matches_certifying_every_limit(self):
+        measures = [random_fkg_measure(n, seed) for n in range(1, 5) for seed in range(60)]
+        rng = random.Random(11)
+        measures += [product_measure(n, rng, 8) for n in range(1, 5) for _ in range(15)]
+        for m in measures:
+            assert fkg_theorem_pipeline(m).failures == loop_limit_failures(m)
+        assert association._limit_certificate.cache_info().currsize < len(measures)
+
+    def raise_construct(self, argmax):
+        raise PreconditionFailed("stub: no pair base")
+
+    STAGES = {
+        "construct": ("construct_uniform_symmetric_rcr", raise_construct),
+        "predicates": (
+            "predicates",
+            lambda self, base: BasePredicates(True, False, None, True, True),
+        ),
+        "represent": ("verify_rcr", lambda self, p, base, eps: RcrCheck(F(1), False)),
+    }
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_forced_failure_stage(self, stage, monkeypatch):
+        name, stub = self.STAGES[stage]
+        monkeypatch.setattr(association, name, stub.__get__(self))
+        measures = [random_fkg_measure(n, seed) for n in range(1, 4) for seed in range(3)]
+        for m in [ising2()] + measures:
+            association._limit_certificate.cache_clear()
+            rep = fkg_theorem_pipeline(m)
+            assert rep.failures == loop_limit_failures(m)
+            assert rep.failures and {f.stage for f in rep.failures} == {stage}
+            assert not rep.ok
 
 
 class TestIsNa:

@@ -292,6 +292,11 @@ class TestCheckAndPipeline:
         argv = ["rcr", "ising", write_json(tmp_path, "spec.json", spec)]
         self.assert_one_line_error(argv, 2, capsys)
 
+    def test_empty_field_list_is_usage_error(self, tmp_path, capsys):
+        spec = {"vertices": [1, 2], "edges": [[1, 2, "2/1"]], "fields": []}
+        argv = ["rcr", "ising", write_json(tmp_path, "spec.json", spec)]
+        self.assert_one_line_error(argv, 2, capsys)
+
     def test_failed_self_check_exits_3(self, tmp_path, capsys, monkeypatch):
         from rcfold import association
 

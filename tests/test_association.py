@@ -28,8 +28,6 @@ from rcfold import (
 from rcfold import Event, association
 from rcfold.association import _distinct_limits
 from rcfold.errors import InvariantViolated
-from rcfold.measures import GuardedFields
-from rcfold.rcr import BasePredicates, RcrCheck
 from rcfold.folding import FoldingUndefined, _first_fold_specs
 from rcfold.generators import (
     random_fkg_measure,
@@ -37,6 +35,8 @@ from rcfold.generators import (
     random_nfkg_measure,
     random_product_measure,
 )
+from rcfold.measures import GuardedFields
+from rcfold.rcr import BasePredicates, RcrCheck
 
 from oracles import loop_is_pa, loop_limit_failures, scoped_na_check, stream_distinct_limits
 
@@ -198,6 +198,10 @@ class TestIsPaOracle:
         assert {m.space.n for m in pa_measures("random")} == set(range(5))
 
 
+def no_pair_base(argmax):
+    raise PreconditionFailed("stub: no pair base")
+
+
 class TestLimitCertificates:
     """The pipeline certifies each distinct argmax set once; its failures
     must equal those of certifying every distinct limit afresh."""
@@ -216,22 +220,16 @@ class TestLimitCertificates:
             assert fkg_theorem_pipeline(m).failures == loop_limit_failures(m)
         assert association._limit_certificate.cache_info().currsize < len(measures)
 
-    def raise_construct(self, argmax):
-        raise PreconditionFailed("stub: no pair base")
-
     STAGES = {
-        "construct": ("construct_uniform_symmetric_rcr", raise_construct),
-        "predicates": (
-            "predicates",
-            lambda self, base: BasePredicates(True, False, None, True, True),
-        ),
-        "represent": ("verify_rcr", lambda self, p, base, eps: RcrCheck(F(1), False)),
+        "construct": ("construct_uniform_symmetric_rcr", no_pair_base),
+        "predicates": ("predicates", lambda base: BasePredicates(True, False, None, True, True)),
+        "represent": ("verify_rcr", lambda p, base, eps: RcrCheck(F(1), False)),
     }
 
     @pytest.mark.parametrize("stage", sorted(STAGES))
     def test_forced_failure_stage(self, stage, monkeypatch):
         name, stub = self.STAGES[stage]
-        monkeypatch.setattr(association, name, stub.__get__(self))
+        monkeypatch.setattr(association, name, stub)
         measures = [random_fkg_measure(n, seed) for n in range(1, 4) for seed in range(3)]
         for m in [ising2()] + measures:
             association._limit_certificate.cache_clear()

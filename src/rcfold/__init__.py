@@ -5,7 +5,6 @@ from .association import (
     AssociationReport,
     ExchangeableLevels,
     PipelineReport,
-    disagreement_count,
     exchangeable_from_levels,
     fkg_theorem_pipeline,
     is_fkg,
@@ -27,7 +26,6 @@ from .errors import (
     InvariantViolated,
     NoCompatiblePair,
     NonBinaryAlphabet,
-    OverlappingDomains,
     PreconditionFailed,
     RcfoldError,
     SpaceMismatch,
@@ -49,12 +47,9 @@ from .measures import (
     Event,
     Measure,
     SiteSpace,
-    concat,
     cylinder,
     enumerate_upsets,
-    max_config,
     normalize,
-    reverse,
     sup_distance,
 )
 from .occurrence import (
@@ -63,8 +58,6 @@ from .occurrence import (
     box_with_rule,
     check_disjoint_cluster_bound,
     check_folding_hypothesis_bound,
-    disjoint_pairs,
-    event_slice,
     full_rule,
     increasing_decreasing_rule,
     increasing_only_rule,

@@ -15,9 +15,10 @@ The two pipelines walk every essential branch of the folding tree down to
 its limiting distribution and certify it by an explicit cluster base: a
 ferromagnetic pair base built from the limit's support on the positive
 side, the uniform complete-pairing base on the strict negative side. A
-positive-side limit is uniform on its argmax set, so its certificate is
-computed once per distinct argmax set (``_limit_certificate``), however
-many limits share it. All arithmetic is exact.
+limit is uniform on its argmax set, so both certificates read that event
+alone: one loop, ``_certify``, runs a pipeline's certificate
+(``_limit_certificate`` or ``_pairing_certificate``) once per distinct
+argmax set, however many limits share it. All arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -36,17 +37,15 @@ from .errors import (
 )
 from .folding import (
     BRANCH_CAP,
-    BranchLimit,
     FoldPath,
     FoldSpec,
+    _argmax,
     _defined_folds,
     _extension_folds,
     _first_folds,
-    _limit_from_nums,
 )
 from .measures import (
     UPSET_CAP,
-    Config,
     Event,
     GuardedFields,
     Measure,
@@ -80,6 +79,11 @@ class AssociationReport:
 def _require_binary(space: SiteSpace, what: str) -> None:
     if not space.is_binary:
         raise NonBinaryAlphabet(f"{what} requires a binary space")
+
+
+def _require_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise CapExceeded(f"|sites|={n} exceeds cap {cap}")
 
 
 def _event_configs(event: Event) -> list[str]:
@@ -164,8 +168,7 @@ def is_pa(p: Measure, cap: int = UPSET_CAP) -> AssociationReport:
     """
     _require_binary(p.space, "positive association")
     n = p.space.n
-    if n > cap:
-        raise CapExceeded(f"|sites|={n} exceeds cap {cap}")
+    _require_cap(n, min(cap, UPSET_CAP))
     ups = _upset_masks(n)
     nums, den = p.int_weights
     size = p.space.size
@@ -235,8 +238,7 @@ def is_na(p: Measure, cap: int = UPSET_CAP) -> AssociationReport:
     """
     _require_binary(p.space, "negative association")
     n = p.space.n
-    if n > cap:
-        raise CapExceeded(f"|sites|={n} exceeds cap {cap}")
+    _require_cap(n, min(cap, UPSET_CAP))
     nums, den = p.int_weights
     wsum = weight_summer(nums, p.space.size)
     full = (1 << n) - 1
@@ -367,10 +369,10 @@ class PipelineReport:
         return self.ok
 
 
-def _distinct_limits(p: Measure) -> tuple[int, list[tuple[str, BranchLimit]]]:
+def _distinct_limits(p: Measure) -> tuple[int, list[tuple[str, Event]]]:
     """Walk every essential branch of p; return the branch count and, for
     each distinct terminal weight vector up to a common factor, the first
-    branch reaching it and its limit.
+    branch reaching it and the argmax set its limit is uniform on.
 
     The walk is memoised. A node of the folding tree is keyed on its folded
     sites and gcd-reduced weights, the same key as its limit, and nothing
@@ -393,7 +395,8 @@ def _distinct_limits(p: Measure) -> tuple[int, list[tuple[str, BranchLimit]]]:
 
 def _walk(nums, path, windows, table, counts, limits) -> int:
     """Branch count below one node of the folding tree (see
-    ``_distinct_limits``), appending each limit met for the first time.
+    ``_distinct_limits``), appending (branch name, argmax set) for each
+    limit met for the first time.
 
     ``table`` maps a folded space's sites to its extension windows;
     ``counts`` maps each node key met so far to its subtree's branch count
@@ -407,7 +410,7 @@ def _walk(nums, path, windows, table, counts, limits) -> int:
         count = counts.get(key)
         if count is None:
             counts[key] = 0
-            limits.append((describe_path(sub_path), _limit_from_nums(space, sub, len(sub_path))))
+            limits.append((describe_path(sub_path), _argmax(space, sub)))
             extensions = table.get(space.sites)
             if extensions is None:
                 extensions = table[space.sites] = list(_extension_folds(space))
@@ -416,32 +419,33 @@ def _walk(nums, path, windows, table, counts, limits) -> int:
     return total
 
 
+def _certify(p: Measure, certificate, final) -> PipelineReport:
+    """Walk p's essential branches, certify each distinct limit by its
+    argmax set, and run the final scan of p itself."""
+    branches, limits = _distinct_limits(p)
+    failures = tuple(
+        BranchFailure(name, *failure)
+        for name, argmax in limits
+        if (failure := certificate(argmax)) is not None
+    )
+    rep = final(p)
+    return PipelineReport(not failures and rep.verdict, branches, len(limits), failures, rep)
+
+
 def fkg_theorem_pipeline(p: Measure) -> PipelineReport:
     """Certify positive association along every essential branch limit.
 
     Requires the lattice condition. Each branch limit must be a symmetric
     uniform two-valued measure satisfying the lattice condition; its pair
     base must exist, be symmetric, ferromagnetic and pairwise, and
-    reproduce the limit exactly. A limit is uniform on its argmax set, so
-    its certificate depends on that event alone: ``_limit_certificate``
-    runs it once per distinct event. The final stage is the exhaustive
-    positive-association scan of p itself.
+    reproduce the limit exactly (``_limit_certificate``). The final stage
+    is the exhaustive positive-association scan of p itself.
     """
     _require_binary(p.space, "the positive association pipeline")
-    if p.space.n > BRANCH_CAP:
-        raise CapExceeded(f"|sites|={p.space.n} exceeds cap {BRANCH_CAP}")
+    _require_cap(p.space.n, BRANCH_CAP)
     if not is_fkg(p).verdict:
         raise PreconditionFailed("measure does not satisfy the lattice condition")
-
-    branches, limits = _distinct_limits(p)
-    failures: list[BranchFailure] = []
-    for name, limit in limits:
-        failure = _limit_certificate(limit.argmax_set)
-        if failure is not None:
-            failures.append(BranchFailure(name, *failure))
-    final = is_pa(p)
-    ok = not failures and final.verdict
-    return PipelineReport(ok, branches, len(limits), tuple(failures), final)
+    return _certify(p, _limit_certificate, is_pa)
 
 
 @lru_cache(maxsize=256)  # distinct argmax sets: 37 on a full-size fkg-pa run
@@ -465,59 +469,35 @@ def _limit_certificate(argmax: Event) -> tuple[str, str] | None:
     return None
 
 
-@lru_cache(maxsize=32)  # per terminal space: 16 site subsets of a BRANCH_CAP-site space
-def _pairing_data(space: SiteSpace):
-    base = complete_pairing_base(space)
-    return base, induced_measure(base), predicates(base)
-
-
 def snfkg_limit_rcr(p: Measure) -> PipelineReport:
     """Certify negative association along every essential branch limit.
 
     Requires the strict negative condition. Each branch limit must equal
     the measure induced by the uniform complete-pairing base of its
     terminal space, whose predicates must be symmetric, antiferromagnetic,
-    isolated and pairwise. The final stage is the exhaustive
-    negative-association scan of p itself.
+    isolated and pairwise (``_pairing_certificate``). The final stage is
+    the exhaustive negative-association scan of p itself.
     """
     _require_binary(p.space, "the negative association pipeline")
-    if p.space.n > BRANCH_CAP:
-        raise CapExceeded(f"|sites|={p.space.n} exceeds cap {BRANCH_CAP}")
+    _require_cap(p.space.n, BRANCH_CAP)
     if not is_snfkg(p).verdict:
         raise PreconditionFailed("measure does not satisfy the strict negative condition")
-
-    branches, limits = _distinct_limits(p)
-    failures: list[BranchFailure] = []
-    for name, limit in limits:
-        base, pairing_measure, flags = _pairing_data(limit.space)
-        if limit.measure != pairing_measure:
-            failures.append(
-                BranchFailure(name, "pairing", "limit differs from the pairing measure")
-            )
-            continue
-        if not (
-            flags.symmetric
-            and flags.antiferromagnetic
-            and flags.isolated_edges
-            and flags.pairwise
-        ):
-            failures.append(BranchFailure(name, "predicates", repr(flags)))
-    final = is_na(p)
-    ok = not failures and final.verdict
-    return PipelineReport(ok, branches, len(limits), tuple(failures), final)
+    return _certify(p, _pairing_certificate, is_na)
 
 
-def disagreement_count(omega: Config) -> int:
-    """Number of site pairs on which the configuration disagrees.
-
-    Over the complete pair set this equals k (m - k) for k ones among m
-    sites, so it is maximal exactly at the balanced occupation numbers and
-    strictly smaller elsewhere.
-    """
-    _require_binary(omega.space, "disagreement counting")
-    vals = omega.values
-    n = len(vals)
-    return sum(1 for u in range(n) for v in range(u + 1, n) if vals[u] != vals[v])
+@lru_cache(maxsize=256)  # distinct argmax sets: 12 on a full-size snfkg-na run
+def _pairing_certificate(argmax: Event) -> tuple[str, str] | None:
+    """The first failing stage of the pairing certificate of the uniform
+    measure on ``argmax``, as (stage, detail), or None when both pass."""
+    base = complete_pairing_base(argmax.space)
+    if Measure.uniform_on(argmax) != induced_measure(base):
+        return "pairing", "limit differs from the pairing measure"
+    flags = predicates(base)
+    if not (
+        flags.symmetric and flags.antiferromagnetic and flags.isolated_edges and flags.pairwise
+    ):
+        return "predicates", repr(flags)
+    return None
 
 
 def perturb(p: Measure, eps: Fraction | int) -> Measure:

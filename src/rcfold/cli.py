@@ -14,8 +14,8 @@ RCFOLD_CAP_SITES, a ``gen`` number or ``--eps`` that does not parse, and
 a suite ``--instances`` or ``--only`` that is negative or names no row. Flags
 fall back to RCFOLD_* environment variables (RCFOLD_SEED, RCFOLD_JOBS,
 RCFOLD_OUT, RCFOLD_CAP_SITES).
-``--cap-sites`` caps the site count of ``check pa``, ``check na`` and every
-``gen`` kind that takes ``--sites``.
+``--cap-sites`` caps the site count of every ``gen`` kind that takes
+``--sites``, and can lower but not raise the 5-site cap of ``check pa|na``.
 """
 from __future__ import annotations
 

@@ -9,10 +9,6 @@ class AllZero(RcfoldError, ValueError):
     """Every weight in a vector to be normalized is zero."""
 
 
-class OverlappingDomains(RcfoldError, ValueError):
-    """Concatenation of configurations whose site sets intersect."""
-
-
 class SpaceMismatch(RcfoldError, ValueError):
     """Two objects that must live on the same space do not."""
 

@@ -78,10 +78,6 @@ class FoldSpec:
         if len(set(self.k_sites)) != len(self.k_sites):
             raise InvalidParams("conditioned sites must be distinct")
 
-    @property
-    def is_essential_shape(self) -> bool:
-        return bool(self.k_sites)
-
 
 @dataclass(frozen=True)
 class FoldPath:
@@ -112,13 +108,11 @@ class BranchLimit:
     """Limit data for a branch: its essential prefix then empty steps forever.
 
     The limit is uniform on ``argmax_set``, the maxima of the measure after
-    the prefix; ``measure`` builds it on first read, since the pipelines
-    walk thousands of limits and certify each distinct argmax set once.
-    ``emitted_at`` (called L) is the step index of that measure along the
-    branch, counting the first fold as step 1. ``ratio`` is the largest
-    weight of a non-maximal configuration divided by the maximal weight;
-    the sup-distance of the i-th iterate from the limit is at most
-    |Omega| * ratio ** (2 ** (i - L)).
+    the prefix; ``measure`` builds it on first read. ``emitted_at`` (called
+    L) is the step index of that measure along the branch, counting the
+    first fold as step 1. ``ratio`` is the largest weight of a non-maximal
+    configuration divided by the maximal weight; the sup-distance of the
+    i-th iterate from the limit is at most |Omega| * ratio ** (2 ** (i - L)).
     """
 
     space: SiteSpace
@@ -274,17 +268,20 @@ def essentialize(path: FoldPath | Sequence[FoldSpec]) -> FoldPath:
     if not steps:
         return FoldPath(())
     head, rest = steps[0], steps[1:]
-    essential = tuple(s for s in rest if s.is_essential_shape)
-    inessential = tuple(s for s in rest if not s.is_essential_shape)
-    return FoldPath((head,) + essential + inessential)
+    return FoldPath((head,) + tuple(sorted(rest, key=lambda s: not s.k_sites)))
+
+
+def _argmax(space: SiteSpace, nums: Sequence[int]) -> Event:
+    """The maxima of integer weights: the support of their branch limit."""
+    top = max(nums)
+    return Event.from_indices(space, (i for i, w in enumerate(nums) if w == top))
 
 
 def _limit_from_nums(space: SiteSpace, nums: Sequence[int], emitted_at: int) -> BranchLimit:
     top = max(nums)
-    argmax = Event.from_indices(space, (i for i, w in enumerate(nums) if w == top))
     below = [w for w in nums if 0 < w < top]
     ratio = Fraction(max(below), top) if below else Fraction(0)
-    return BranchLimit(space, argmax, emitted_at, ratio)
+    return BranchLimit(space, _argmax(space, nums), emitted_at, ratio)
 
 
 def branch_limit(p: Measure, essential_prefix: FoldPath | Sequence[FoldSpec]) -> BranchLimit:

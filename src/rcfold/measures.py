@@ -29,7 +29,6 @@ from .errors import (
     CapExceeded,
     InvalidParams,
     NonBinaryAlphabet,
-    OverlappingDomains,
     SpaceMismatch,
 )
 
@@ -60,8 +59,7 @@ class SiteSpace:
 
     The alphabet order is the total order used for maxima, increasing
     events, and symbol reversal. Site identifiers must be distinct and
-    mutually comparable (their sorted order is the canonical merge order
-    for concatenation).
+    mutually comparable.
     """
 
     sites: tuple
@@ -179,10 +177,6 @@ class Config:
     def symbols(self) -> tuple:
         return tuple(a[v] for a, v in zip(self.space.alphabets, self.values))
 
-    def ones(self) -> int:
-        """Number of sites carrying their maximal symbol (binary: the 1s)."""
-        return sum(1 for v, r in zip(self.values, self.space.radices) if v == r - 1)
-
     def bar(self) -> "Config":
         """Pointwise symbol reversal within each site's alphabet order."""
         return Config(
@@ -197,51 +191,6 @@ class Config:
 def _require_same_space(a: SiteSpace, b: SiteSpace) -> None:
     if a != b:
         raise SpaceMismatch("objects live on different spaces")
-
-
-def concat(a: Config, b: Config) -> Config:
-    """Concatenate configurations on disjoint site sets.
-
-    The merged space lists sites in sorted identifier order, each keeping
-    the alphabet of the space it came from.
-    """
-    overlap = set(a.space.sites) & set(b.space.sites)
-    if overlap:
-        raise OverlappingDomains(f"domains overlap on {sorted(overlap, key=repr)}")
-    entries = []
-    for cfg in (a, b):
-        for s, alph, v in zip(cfg.space.sites, cfg.space.alphabets, cfg.values):
-            entries.append((s, alph, v))
-    entries.sort(key=lambda t: t[0])
-    space = SiteSpace(tuple(e[0] for e in entries), tuple(e[1] for e in entries))
-    return Config(space, tuple(e[2] for e in entries))
-
-
-def reverse(omega: Config, beta: tuple[Config, Config]) -> Config | None:
-    """Exchange each coordinate between the two beta symbols.
-
-    Returns None (the undefined marker, weight zero downstream) when some
-    coordinate of omega lies outside its {beta_i(1), beta_i(2)} pair.
-    """
-    b1, b2 = beta
-    _require_same_space(omega.space, b1.space)
-    _require_same_space(omega.space, b2.space)
-    out = []
-    for w, x, y in zip(omega.values, b1.values, b2.values):
-        if x == y:
-            raise InvalidParams("beta components must be pointwise distinct")
-        if w == x:
-            out.append(y)
-        elif w == y:
-            out.append(x)
-        else:
-            return None
-    return Config(omega.space, tuple(out))
-
-
-def max_config(space: SiteSpace) -> Config:
-    """The configuration carrying the maximal symbol at every site."""
-    return Config(space, tuple(r - 1 for r in space.radices))
 
 
 @dataclass(frozen=True)
@@ -319,19 +268,6 @@ class Event:
         size-bit string of the mask, reversed."""
         size = self.space.size
         return Event(self.space, int(format(self.mask, f"0{size}b")[::-1], 2))
-
-    def is_increasing(self) -> bool:
-        """Closure upward under the coordinatewise partial order (binary)."""
-        if not self.space.is_binary:
-            raise NonBinaryAlphabet("increasing events are defined on binary spaces")
-        n = self.space.n
-        for i in self.indices():
-            for j in range(n):
-                w = 1 << (n - 1 - j)
-                if not i & w and not self.contains_index(i | w):
-                    return False
-        return True
-
 
 def cylinder(omega: Config, region: Iterable) -> Event:
     """The cylinder [omega]_K: configurations agreeing with omega on K."""

@@ -150,11 +150,6 @@ def rule_by_name(name: str) -> SelectionRule:
     return BUILTIN_RULES[key]()
 
 
-def disjoint_pairs(a: Event, b: Event, omega: Config) -> frozenset:
-    """All witness pairs (K, L) for A and B at omega, as site frozensets."""
-    return full_rule().select(a, b, omega)
-
-
 def box(a: Event, b: Event) -> Event:
     """The plain box: configurations admitting some disjoint witness pair."""
     return box_with_rule(a, b, full_rule())
@@ -227,18 +222,6 @@ def box_product_sweep(p: Measure) -> dict:
         if bad:
             violations.extend((a, b) for b in fields.indices(bad))
     return {"pairs": n_events * n_events, "violations": violations}
-
-
-def event_slice(space: SiteSpace, spec: FoldSpec, event: Event) -> Event:
-    """Folded-space event whose members lift into the given event.
-
-    Members are the configurations of the folded space (inside the beta
-    range by construction) whose concatenation with alpha lies in the
-    event.
-    """
-    if event.space != space:
-        raise SpaceMismatch("event not on the given space")
-    return fold_window(space, spec).slice_event(event)
 
 
 def induced_rule(rule: SelectionRule, space: SiteSpace, spec: FoldSpec) -> SelectionRule:

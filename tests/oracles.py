@@ -5,6 +5,7 @@ and stays ignorant of the library's internal shortcuts, except the few
 that keep a kernel's earlier, plainer loop as its reference.
 """
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product as iter_product
 
 from rcfold import Event, Measure, SiteSpace, box_with_rule, normalize
@@ -142,14 +143,15 @@ def stream_distinct_limits(m: Measure):
     """Branch count and first-reached distinct limits, by streaming every
     essential branch through ``iter_essential_branches`` with no memo.
 
-    Returns (branches, [(branch name, BranchLimit)]) in the order the
+    Returns (branches, [(branch name, argmax set)]) in the order the
     depth-first stream first reaches each limit key: the folded sites and
-    the weights divided by their gcd.
+    the weights divided by their gcd. The argmax set holds the maximal
+    folded weights, the support of the branch limit.
     """
     from math import gcd
 
     from rcfold.association import describe_path
-    from rcfold.folding import _limit_from_nums, iter_essential_branches
+    from rcfold.folding import iter_essential_branches
 
     branches = 0
     seen = set()
@@ -162,7 +164,9 @@ def stream_distinct_limits(m: Measure):
         key = space.sites, tuple(w // g for w in nums)
         if key not in seen:
             seen.add(key)
-            limits.append((describe_path(path), _limit_from_nums(space, nums, len(path))))
+            top = max(nums)
+            argmax = Event.from_indices(space, (i for i, w in enumerate(nums) if w == top))
+            limits.append((describe_path(path), argmax))
     return branches, limits
 
 
@@ -222,17 +226,26 @@ def brute_box(a: Event, b: Event, keep) -> Event:
     the cylinder of w on K inside A, the cylinder on L inside B, and
     ``keep(w, K, L)`` true.
     """
-    space = a.space
+    members = []
+    for w, cylinders in _brute_cylinders(a.space):
+        ks = [k for k, cyl in cylinders if cyl.is_subset(a)]
+        ls = [l for l, cyl in cylinders if cyl.is_subset(b)]
+        if any(not k & l and keep(w, k, l) for k in ks for l in ls):
+            members.append(w.index)
+    return Event.from_indices(a.space, members)
+
+
+@cache
+def _brute_cylinders(space: SiteSpace) -> tuple:
+    """Per configuration w: w and, for every site set K, the pair (K,
+    ``brute_cylinder(w, K)``). Built once per space, since the cylinders
+    depend on neither the events nor the rule."""
     subsets = [
         frozenset(c) for r in range(space.n + 1) for c in combinations(space.sites, r)
     ]
-    members = []
-    for w in space.iter_configs():
-        ks = [k for k in subsets if brute_cylinder(w, k).is_subset(a)]
-        ls = [l for l in subsets if brute_cylinder(w, l).is_subset(b)]
-        if any(not k & l and keep(w, k, l) for k in ks for l in ls):
-            members.append(w.index)
-    return Event.from_indices(space, members)
+    return tuple(
+        (w, tuple((k, brute_cylinder(w, k)) for k in subsets)) for w in space.iter_configs()
+    )
 
 
 def brute_induced_measure(base):
@@ -376,12 +389,12 @@ def loop_limit_failures(p: Measure) -> tuple:
     from rcfold.errors import PreconditionFailed
 
     failures = []
-    for name, limit in _distinct_limits(p)[1]:
-        argmax = limit.argmax_set
+    for name, argmax in _distinct_limits(p)[1]:
+        limit = Measure.uniform_on(argmax)
         if argmax.bar() != argmax:
             failures.append(BranchFailure(name, "symmetric", "limit support not reversal-closed"))
             continue
-        if not association.is_fkg(limit.measure).verdict:
+        if not association.is_fkg(limit).verdict:
             failures.append(BranchFailure(name, "lattice", "limit fails the lattice condition"))
             continue
         try:
@@ -393,6 +406,58 @@ def loop_limit_failures(p: Measure) -> tuple:
         if not (flags.symmetric and flags.ferromagnetic and flags.pairwise):
             failures.append(BranchFailure(name, "predicates", repr(flags)))
             continue
-        if not association.verify_rcr(limit.measure, base, 0).ok:
+        if not association.verify_rcr(limit, base, 0).ok:
             failures.append(BranchFailure(name, "represent", "base does not reproduce the limit"))
     return tuple(failures)
+
+
+def loop_pairing_failures(p: Measure) -> tuple:
+    """The branch failures of the negative-association pipeline, building
+    the pairing base, its measure and its predicates afresh for every
+    distinct limit. The certificate stages are looked up on the association
+    module at call time, as in ``loop_limit_failures``."""
+    from rcfold import association
+    from rcfold.association import BranchFailure, _distinct_limits
+
+    failures = []
+    for name, argmax in _distinct_limits(p)[1]:
+        base = association.complete_pairing_base(argmax.space)
+        pairing_measure = association.induced_measure(base)
+        flags = association.predicates(base)
+        if Measure.uniform_on(argmax) != pairing_measure:
+            failures.append(
+                BranchFailure(name, "pairing", "limit differs from the pairing measure")
+            )
+            continue
+        if not (
+            flags.symmetric
+            and flags.antiferromagnetic
+            and flags.isolated_edges
+            and flags.pairwise
+        ):
+            failures.append(BranchFailure(name, "predicates", repr(flags)))
+    return tuple(failures)
+
+
+def disagreement_count(omega) -> int:
+    """Number of site pairs on which the configuration disagrees.
+
+    Over the complete pair set this equals k (m - k) for k ones among m
+    sites, so it is maximal exactly at the balanced occupation numbers and
+    strictly smaller elsewhere.
+    """
+    vals = omega.values
+    n = len(vals)
+    return sum(1 for u in range(n) for v in range(u + 1, n) if vals[u] != vals[v])
+
+
+def is_increasing(event: Event) -> bool:
+    """Closure of an event of a binary space upward under the
+    coordinatewise order: raising any 0 of a member to 1 stays inside."""
+    n = event.space.n
+    for i in event.indices():
+        for j in range(n):
+            w = 1 << (n - 1 - j)
+            if not i & w and not event.contains_index(i | w):
+                return False
+    return True

@@ -8,10 +8,11 @@ from rcfold import (
     Measure,
     PreconditionFailed,
     SiteSpace,
-    disagreement_count,
+    complete_pairing_base,
     exchangeable_from_levels,
     fkg_theorem_pipeline,
     fold,
+    induced_measure,
     is_fkg,
     is_fkg_via_foldings,
     is_na,
@@ -38,7 +39,14 @@ from rcfold.generators import (
 from rcfold.measures import GuardedFields
 from rcfold.rcr import BasePredicates, RcrCheck
 
-from oracles import loop_is_pa, loop_limit_failures, scoped_na_check, stream_distinct_limits
+from oracles import (
+    disagreement_count,
+    loop_is_pa,
+    loop_limit_failures,
+    loop_pairing_failures,
+    scoped_na_check,
+    stream_distinct_limits,
+)
 
 F = Fraction
 
@@ -235,6 +243,49 @@ class TestLimitCertificates:
             association._limit_certificate.cache_clear()
             rep = fkg_theorem_pipeline(m)
             assert rep.failures == loop_limit_failures(m)
+            assert rep.failures and {f.stage for f in rep.failures} == {stage}
+            assert not rep.ok
+
+
+class TestPairingCertificates:
+    """The negative pipeline certifies each distinct argmax set once; its
+    failures must equal those of building the pairing base afresh for
+    every distinct limit."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        association._pairing_certificate.cache_clear()
+        yield
+        association._pairing_certificate.cache_clear()
+
+    @staticmethod
+    def snfkg_measures(sizes):
+        measures = [
+            perturb(random_nfkg_measure(n, seed), F(1, 8)) for n in sizes for seed in range(6)
+        ]
+        return measures + [induced_measure(complete_pairing_base(binary(n))) for n in sizes]
+
+    def test_matches_certifying_every_limit(self):
+        measures = self.snfkg_measures(range(1, 5))
+        for m in measures:
+            assert is_snfkg(m).verdict
+            rep = snfkg_limit_rcr(m)
+            assert rep.failures == loop_pairing_failures(m) == ()
+        assert association._pairing_certificate.cache_info().currsize < len(measures)
+
+    STAGES = {
+        "pairing": ("induced_measure", lambda base: None),
+        "predicates": ("predicates", lambda base: BasePredicates(True, None, False, True, True)),
+    }
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_forced_failure_stage(self, stage, monkeypatch):
+        name, stub = self.STAGES[stage]
+        monkeypatch.setattr(association, name, stub)
+        for m in self.snfkg_measures(range(1, 4)):
+            association._pairing_certificate.cache_clear()
+            rep = snfkg_limit_rcr(m)
+            assert rep.failures == loop_pairing_failures(m)
             assert rep.failures and {f.stage for f in rep.failures} == {stage}
             assert not rep.ok
 
@@ -460,7 +511,7 @@ class TestDisagreementCount:
             sp = binary(n)
             for i in range(sp.size):
                 c = sp.config_at(i)
-                k = c.ones()
+                k = sum(c.values)
                 assert disagreement_count(c) == k * (n - k)
 
     def test_argmax_on_balanced(self):

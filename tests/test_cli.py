@@ -417,6 +417,17 @@ class TestSuiteCommand:
         code, out = run_cli(["--cap-sites", "6", "gen", "random_fkg", "--sites", "6"], capsys)
         assert code == 0 and len(json.loads(out)["weights"]) == 64
 
+    @pytest.mark.parametrize("predicate", ["pa", "na"])
+    def test_cap_sites_cannot_raise_the_check_cap(self, predicate, tmp_path, capsys):
+        gen = ["gen", "exchangeable", "--sites", "6", "--levels", "1,1,1,1,1,1,1"]
+        code, out = run_cli(["--cap-sites", "6"] + gen, capsys)
+        assert code == 0
+        path = write_json(tmp_path, "u6.json", out)
+        code = main(["--cap-sites", "6", "check", predicate, path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: |sites|=6 exceeds cap 5\n"
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RCFOLD_SEED", "12")
         code, out = run_cli(["gen", "random_fkg", "--sites", "2"], capsys)

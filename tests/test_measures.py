@@ -10,21 +10,19 @@ from rcfold import (
     Config,
     InvalidParams,
     Event,
+    FoldSpec,
     Measure,
-    OverlappingDomains,
     SiteSpace,
     SpaceMismatch,
-    concat,
     cylinder,
     enumerate_upsets,
-    max_config,
+    fold_window,
     normalize,
-    reverse,
     sup_distance,
 )
 from rcfold.serialize import measure_from_json, measure_to_json
 
-from oracles import brute_bar, brute_cylinder, brute_upset_masks
+from oracles import brute_bar, brute_cylinder, brute_upset_masks, is_increasing
 
 F = Fraction
 
@@ -61,83 +59,56 @@ class TestNormalize:
 
 
 class TestConcat:
+    """A fold lifts folded configuration w to alpha.w, the concatenation of
+    alpha on the conditioned sites with w on the others
+    (``FoldWindow.lift``)."""
+
     def test_two_singletons(self):
-        a = SiteSpace.binary([1]).config([1])
-        b = SiteSpace.binary([2]).config([0])
-        c = concat(a, b)
-        assert c.space.sites == (1, 2)
-        assert c.values == (1, 0)
+        sp = binary(2)
+        window = fold_window(sp, FoldSpec((1,), (1,)))
+        assert sp.config_at(window.lift[0]).values == (1, 0)
 
     def test_empty_identity(self):
-        a = SiteSpace.binary([]).config([])
-        b = binary(2).config([1, 0])
-        assert concat(a, b).values == (1, 0)
+        assert fold_window(binary(2), FoldSpec((), ())).lift == (0, 1, 2, 3)
 
     def test_interleaved_sites(self):
-        a = SiteSpace.binary([1, 3]).config([0, 1])
-        b = SiteSpace.binary([2]).config([1])
-        c = concat(a, b)
-        assert c.space.sites == (1, 2, 3)
-        assert c.values == (0, 1, 1)
+        sp = binary(3)
+        window = fold_window(sp, FoldSpec((2,), (1,)))
+        assert window.folded_space.sites == (1, 3)
+        assert sp.config_at(window.lift[0b01]).values == (0, 1, 1)
 
     def test_overlap_rejected(self):
-        a = SiteSpace.binary([1]).config([1])
-        with pytest.raises(OverlappingDomains):
-            concat(a, a)
-
-    @given(st.integers(0, 62))
-    def test_associative(self, bits):
-        # split six sites into three groups by the two-bit pattern per site
-        sites = list(range(6))
-        groups = ([], [], [])
-        for s in sites:
-            groups[(bits >> s) % 3].append(s)
-        cfgs = [
-            SiteSpace.binary(g).config([1] * len(g)) for g in groups
-        ]
-        left = concat(concat(cfgs[0], cfgs[1]), cfgs[2])
-        right = concat(cfgs[0], concat(cfgs[1], cfgs[2]))
-        assert left == right
+        with pytest.raises(InvalidParams):
+            FoldSpec((1, 1), (1, 1))
 
 
 class TestReverse:
+    """The beta-reversal of folded configuration f lifts to ``lift[-1 - f]``:
+    each coordinate swapped between its two beta symbols."""
+
     def test_binary_flip(self):
         sp = binary(2)
-        w = sp.config([0, 1])
-        beta = (sp.config([0, 0]), sp.config([1, 1]))
-        assert reverse(w, beta).values == (1, 0)
+        lift = fold_window(sp, FoldSpec((), ())).lift
+        assert sp.config_at(lift[-1 - 0b01]).values == (1, 0)
 
     def test_general_pair(self):
         sp = binary(2)
-        w = sp.config([1, 1])
-        beta = (sp.config([0, 0]), sp.config([1, 1]))
-        assert reverse(w, beta).values == (0, 0)
+        lift = fold_window(sp, FoldSpec((), ())).lift
+        assert sp.config_at(lift[-1 - 0b11]).values == (0, 0)
 
     def test_outside_range_undefined(self):
         sp = SiteSpace((1,), ((0, 1, 2),))
-        w = sp.config([2])
-        beta = (sp.config([0]), sp.config([1]))
-        assert reverse(w, beta) is None
+        lift = fold_window(sp, FoldSpec((), (), ((0,), (1,)))).lift
+        assert sp.config([2]).index not in lift
 
     def test_involution_inside_range(self):
         sp = SiteSpace((1, 2), ((0, 1, 2), (0, 1)))
-        beta = (sp.config([0, 1]), sp.config([2, 0]))
-        for vals in [(0, 0), (0, 1), (2, 0), (2, 1)]:
-            w = sp.config(vals)
-            assert reverse(reverse(w, beta), beta) == w
-
-
-class TestMaxConfig:
-    def test_binary(self):
-        assert max_config(binary(3)).values == (1, 1, 1)
-
-    def test_mixed_radix(self):
-        sp = SiteSpace((1, 2), ((0, 1, 2), (0, 1)))
-        assert max_config(sp).values == (2, 1)
-
-    def test_ordered_symbols(self):
-        sp = SiteSpace(("s",), (("a", "b", "c"),))
-        assert max_config(sp).symbols() == ("c",)
+        window = fold_window(sp, FoldSpec((), (), ((0, 1), (2, 0))))
+        lifted = [sp.config_at(i).values for i in window.lift]
+        assert sorted(lifted) == [(0, 0), (0, 1), (2, 0), (2, 1)]
+        for f, w in enumerate(lifted):
+            r = lifted[-1 - f]
+            assert {w[0], r[0]} == {0, 2} and {w[1], r[1]} == {0, 1}
 
 
 class TestUpsets:
@@ -149,7 +120,7 @@ class TestUpsets:
 
     def test_every_member_upward_closed(self):
         for e in enumerate_upsets(binary(3)):
-            assert e.is_increasing()
+            assert is_increasing(e)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -159,7 +130,7 @@ class TestUpsets:
         for e in enumerate_upsets(binary(3)):
             barred = e.bar()
             assert barred.bar() == e
-            assert barred.complement().is_increasing()
+            assert is_increasing(barred.complement())
 
 
 class TestSupDistance:

@@ -14,9 +14,7 @@ from rcfold import (
     box_with_rule,
     check_disjoint_cluster_bound,
     check_folding_hypothesis_bound,
-    disjoint_pairs,
     enumerate_upsets,
-    event_slice,
     fold,
     fold_window,
     full_rule,
@@ -53,7 +51,7 @@ class TestDisjointPairs:
     def test_full_events_contain_empty_pair(self):
         sp = binary(2)
         full = Event.full(sp)
-        pairs = disjoint_pairs(full, full, sp.config([0, 1]))
+        pairs = full_rule().select(full, full, sp.config([0, 1]))
         assert (frozenset(), frozenset()) in pairs
 
     def test_three_site_example(self):
@@ -61,7 +59,7 @@ class TestDisjointPairs:
         a = coord_event(sp, 1, 1)
         b = coord_event(sp, 2, 1)
         w = sp.config([1, 1, 0])
-        got = disjoint_pairs(a, b, w)
+        got = full_rule().select(a, b, w)
         assert got == frozenset(
             {
                 (frozenset({1}), frozenset({2})),
@@ -76,7 +74,7 @@ class TestDisjointPairs:
         a = coord_event(sp, 1, 1)
         b = Event.full(sp)
         w = sp.config([0, 1, 1])
-        assert disjoint_pairs(a, b, w) == frozenset()
+        assert full_rule().select(a, b, w) == frozenset()
 
 
 class TestBox:
@@ -231,20 +229,20 @@ class TestEventSlice:
     def test_full_event_slices_to_full(self):
         sp = binary(2)
         spec = FoldSpec((1,), (1,))
-        sliced = event_slice(sp, spec, Event.full(sp))
+        sliced = fold_window(sp, spec).slice_event(Event.full(sp))
         assert sliced == Event.full(sliced.space)
 
     def test_coordinate_slice(self):
         sp = binary(2)
         spec = FoldSpec((1,), (1,))
         e = Event.from_indices(sp, [2, 3])  # first coordinate is 1
-        assert event_slice(sp, spec, e).count == 2  # both folded configs lift in
+        assert fold_window(sp, spec).slice_event(e).count == 2  # both folded configs lift in
 
     def test_partial_slice(self):
         sp = binary(2)
         spec = FoldSpec((1,), (1,))
         e = Event.from_indices(sp, [3])  # only 11
-        sliced = event_slice(sp, spec, e)
+        sliced = fold_window(sp, spec).slice_event(e)
         assert sorted(sliced.indices()) == [1]
 
     def test_slice_of_box_contained_in_box_of_slices(self):
@@ -254,12 +252,11 @@ class TestEventSlice:
         events = [Event(sp, m) for m in (0b10011001, 0b11110000, 0b01100110, 0b11111110)]
         for spec in specs:
             pushed = induced_rule(rule, sp, spec)
+            window = fold_window(sp, spec)
             for a in events:
                 for b in events:
-                    lhs = event_slice(sp, spec, box_with_rule(a, b, rule))
-                    rhs = box_with_rule(
-                        event_slice(sp, spec, a), event_slice(sp, spec, b), pushed
-                    )
+                    lhs = window.slice_event(box_with_rule(a, b, rule))
+                    rhs = box_with_rule(window.slice_event(a), window.slice_event(b), pushed)
                     assert lhs.is_subset(rhs)
 
     def test_slice_inclusion_exhaustive_two_sites(self):
@@ -268,15 +265,14 @@ class TestEventSlice:
         sp = binary(2)
         rules = [full_rule(), increasing_only_rule()]
         for spec in _first_fold_specs(sp):
+            window = fold_window(sp, spec)
             for rule in rules:
                 pushed = induced_rule(rule, sp, spec)
                 for amask in range(16):
                     for bmask in range(16):
                         a, b = Event(sp, amask), Event(sp, bmask)
-                        lhs = event_slice(sp, spec, box_with_rule(a, b, rule))
-                        rhs = box_with_rule(
-                            event_slice(sp, spec, a), event_slice(sp, spec, b), pushed
-                        )
+                        lhs = window.slice_event(box_with_rule(a, b, rule))
+                        rhs = box_with_rule(window.slice_event(a), window.slice_event(b), pushed)
                         assert lhs.is_subset(rhs)
 
 
@@ -302,7 +298,7 @@ class TestInducedRule:
             for bmask in range(0, 16, 5):
                 a, b = Event(fsp, amask), Event(fsp, bmask)
                 for w in fsp.iter_configs():
-                    assert pushed.select(a, b, w) == disjoint_pairs(a, b, w)
+                    assert pushed.select(a, b, w) == full_rule().select(a, b, w)
 
     def test_induced_pairs_avoid_conditioned_sites(self):
         sp = binary(3)

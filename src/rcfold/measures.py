@@ -59,7 +59,7 @@ class SiteSpace:
 
     The alphabet order is the total order used for maxima, increasing
     events, and symbol reversal. Site identifiers must be distinct and
-    mutually comparable.
+    hashable; they need not be comparable with each other.
     """
 
     sites: tuple
@@ -77,10 +77,6 @@ class SiteSpace:
                 raise InvalidParams("alphabets must be nonempty")
             if len(set(a)) != len(a):
                 raise InvalidParams("alphabet symbols must be distinct")
-        try:
-            sorted(self.sites)
-        except TypeError as exc:
-            raise InvalidParams("site identifiers must be mutually orderable") from exc
 
     @classmethod
     def binary(cls, sites: Iterable) -> "SiteSpace":

@@ -8,17 +8,22 @@ as one bitmask over position-masks, computed by ``_witness_set`` alone.
 A selection rule is a side filter: at each configuration it gives the
 positions the A-side and the B-side of a kept pair may use. Its box
 operation collects the configurations where some pair is kept. Rules can
-be pushed through a folding step, and two checkable bounds tie the
+be pushed through folding steps; a pushed rule's box is evaluated only at
+the lifted configurations, folded index f at ``w1.lift[w2.lift[...[f]]]``
+for its windows w1, w2, ..., first fold first. Two checkable bounds tie the
 machinery to measures: the disjoint-cluster bound (box probability against
 the bar-reflected intersection, given a symmetric cluster base whose
 clusters never straddle a witness pair) and the folding hypothesis bound
-(per-folding box inequalities forcing the product bound upstairs).
+(per-folding box inequalities forcing the product bound upstairs). The
+first check reads the base's induced measure, predicates and per-atom
+clusters, which are computed once per base (``RcrBase``); the second
+resolves the first-fold windows once per space.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from operator import or_
 from typing import Callable
 
@@ -34,7 +39,7 @@ from .measures import (
     as_fraction,
     weight_summer,
 )
-from .rcr import RcrBase, _compatible_mask, clusters, predicates, verify_rcr
+from .rcr import RcrBase, predicates, verify_rcr
 
 
 def _witness_set(cylinders: tuple[int, ...], mask: int) -> int:
@@ -45,17 +50,18 @@ def _witness_set(cylinders: tuple[int, ...], mask: int) -> int:
     return sum(1 << k for k, cyl in enumerate(cylinders) if not cyl & outside)
 
 
-def _subset_sets(n: int) -> list[int]:
+@lru_cache(maxsize=None)  # keyed on the site count n, 2**n entries each
+def _subset_sets(n: int) -> tuple[int, ...]:
     """Entry s: the position-masks inside s, as a bitmask over position-masks."""
     within = [1]
     for s in range(1, 1 << n):
         low = s & -s
         rest = within[s ^ low]
         within.append(rest | rest << low)
-    return within
+    return tuple(within)
 
 
-def _partners(ks: int, within: list[int]) -> int:
+def _partners(ks: int, within: tuple[int, ...]) -> int:
     """Position-masks disjoint from some member of ``ks``, as a bitmask."""
     full = len(within) - 1
     out = 0
@@ -83,7 +89,7 @@ class SelectionRule:
     sides: Callable[[SiteSpace, int], tuple[int, int]]
     windows: tuple[FoldWindow, ...] = ()
 
-    def _kept(self, a: Event, b: Event, index: int, table, within: list[int]):
+    def _kept(self, a: Event, b: Event, index: int, table, within: tuple[int, ...]):
         """The kept A-side and B-side witness sets at ``index``."""
         sa, sb = self.sides(a.space, index)
         cylinders = table[index]
@@ -92,16 +98,27 @@ class SelectionRule:
             _witness_set(cylinders, b.mask) & within[sb],
         )
 
+    def _lifted(self, a: Event, b: Event) -> tuple[Event, Event, list[int] | range]:
+        """A and B extended to the unfolded space, with the lift there of each
+        index of their own space: ``w1.lift[w2.lift[...[f]]]`` for windows
+        w1, w2, ..., the identity for a rule that was never pushed."""
+        if a.space != b.space:
+            raise SpaceMismatch("events on different spaces")
+        lift = range(a.space.size)
+        if self.windows and a.space != self.windows[-1].folded_space:
+            raise SpaceMismatch("events not on the folded space of the pushed rule")
+        for window in reversed(self.windows):
+            a, b = window.extend_event(a), window.extend_event(b)
+            lift = [window.lift[i] for i in lift]
+        return a, b, lift
+
     def select(self, a: Event, b: Event, omega: Config) -> frozenset:
         """The kept witness pairs at omega, as pairs of site frozensets."""
         if a.space != omega.space or b.space != omega.space:
             raise SpaceMismatch("events and configuration on different spaces")
-        index = omega.index
-        for window in reversed(self.windows):
-            a, b = window.extend_event(a), window.extend_event(b)
-            index = window.lift[index]
+        a, b, lift = self._lifted(a, b)
         space = a.space
-        ka, lb = self._kept(a, b, index, _cylinder_table(space), _subset_sets(space.n))
+        ka, lb = self._kept(a, b, lift[omega.index], _cylinder_table(space), _subset_sets(space.n))
         kmasks = range(1 << space.n)
         keep = frozenset(omega.space.sites)
         return frozenset(
@@ -159,25 +176,21 @@ def box_with_rule(a: Event, b: Event, rule: SelectionRule) -> Event:
     """Configurations where the rule keeps at least one witness pair.
 
     A pushed rule keeps a pair at a folded configuration exactly when the
-    unpushed rule keeps one at its lift for the extended events, so its box
-    is the slice of the unfolded box.
+    unpushed rule keeps one at its lift for the extended events, so it is
+    evaluated at the lifted configurations alone. The events must lie on the
+    folded space of the rule's last window.
     """
-    if a.space != b.space:
-        raise SpaceMismatch("events on different spaces")
-    for window in reversed(rule.windows):
-        a, b = window.extend_event(a), window.extend_event(b)
     space = a.space
-    table = _cylinder_table(space)
-    within = _subset_sets(space.n)
+    a, b, lift = rule._lifted(a, b)
+    unfolded = a.space
+    table = _cylinder_table(unfolded)
+    within = _subset_sets(unfolded.n)
     mask = 0
-    for i in range(space.size):
+    for f, i in enumerate(lift):
         ka, lb = rule._kept(a, b, i, table, within)
         if ka and _partners(ka, within) & lb:
-            mask |= 1 << i
-    boxed = Event(space, mask)
-    for window in rule.windows:
-        boxed = window.slice_event(boxed)
-    return boxed
+            mask |= 1 << f
+    return Event(space, mask)
 
 
 def box_product_sweep(p: Measure) -> dict:
@@ -284,15 +297,15 @@ def check_disjoint_cluster_bound(
         raise NonBinaryAlphabet("the disjoint-cluster bound is stated on binary spaces")
     if a.space != p.space or b.space != p.space:
         raise SpaceMismatch("events and measure on different spaces")
+    if base.structure.space != p.space:
+        raise SpaceMismatch("measure and base on different spaces")
     if not predicates(base).symmetric:
         raise PreconditionFailed("base is not symmetric")
 
     boxed = box_with_rule(a, b, rule)
     boxed_configs = [p.space.config_at(i) for i in boxed.indices()]
     kept_pairs = [rule.select(a, b, omega) for omega in boxed_configs]
-    for eta, _ in base.atoms:
-        comps = [c for c in clusters(eta) if len(c) > 1]
-        compat = _compatible_mask(eta)
+    for (eta, _), (compat, comps) in zip(base.atoms, base.atom_clusters):
         for omega, pairs in zip(boxed_configs, kept_pairs):
             if not compat >> omega.index & 1:
                 continue
@@ -310,6 +323,12 @@ def check_disjoint_cluster_bound(
     slack = eps * (1 << (p.space.n + 1))
     ok = check.ok and lhs <= rhs + slack
     return DisjointClusterReport(lhs, rhs, slack, check.max_dev, check.ok, ok)
+
+
+@lru_cache(maxsize=16)  # the suites and the benchmark check on at most 2 spaces
+def _first_fold_windows(space: SiteSpace) -> tuple[FoldWindow, ...]:
+    """The resolved windows of every first fold of a space, in canonical order."""
+    return tuple(_first_folds(space))
 
 
 @dataclass(frozen=True)
@@ -351,7 +370,7 @@ def check_folding_hypothesis_bound(
 
     failures = []
     checked = 0
-    folds = _defined_folds(p.int_weights[0], _first_folds(p.space))
+    folds = _defined_folds(p.int_weights[0], _first_fold_windows(p.space))
     for window, fnums in folds:
         checked += 1
         a_slice, b_slice = window.slice_event(a), window.slice_event(b)

@@ -111,7 +111,11 @@ class BondStateAssignment:
 
 @dataclass(frozen=True)
 class RcrBase:
-    """A sparse base: distinct assignments with positive weights summing to 1."""
+    """A sparse base: distinct assignments with positive weights summing to 1.
+
+    A base is immutable, so its induced measure, its predicates and each
+    atom's compatible mask and clusters are computed on first read and kept.
+    """
 
     structure: HyperbondStructure
     atoms: tuple[tuple[BondStateAssignment, Fraction], ...]
@@ -129,6 +133,63 @@ class RcrBase:
         for a, _ in atoms:
             if a.structure != self.structure:
                 raise SpaceMismatch("atom assignment on a different structure")
+
+    @cached_property
+    def measure(self) -> Measure:
+        """The represented measure, normalized over all configurations;
+        built on first read."""
+        space = self.structure.space
+        raw = [Fraction(0)] * space.size
+        for eta, w in self.atoms:
+            for i in Event(space, _compatible_mask(eta)).indices():
+                raw[i] += w
+        if not any(raw):
+            raise NoCompatiblePair("no configuration is compatible with any atom")
+        return normalize(space, raw)
+
+    @cached_property
+    def predicates(self) -> BasePredicates:
+        """The structural predicates, evaluated atom by atom on first read."""
+        struct = self.structure
+        space = struct.space
+        pairwise = all(len(b) <= 2 for b in struct.bonds)
+        binary = space.is_binary
+
+        symmetric = True
+        ferro: bool | None = True if binary else None
+        antiferro: bool | None = True if binary else None
+        isolated = True
+
+        for eta, _ in self.atoms:
+            active_positions = []
+            for i, positions in enumerate(struct.bond_positions):
+                state = eta.states[i]
+                radices = tuple(space.radices[p] for p in positions)
+                if _state_reversed(state, radices) != state:
+                    symmetric = False
+                full_size = struct.bond_space_size(i)
+                active = len(state) != full_size
+                if active:
+                    active_positions.append(set(positions))
+                if binary:
+                    if state and tuple(1 for _ in positions) not in state:
+                        ferro = False
+                    if active:
+                        if len(positions) != 2 or state != frozenset({(0, 1), (1, 0)}):
+                            antiferro = False
+            for a, b in combinations(active_positions, 2):
+                if a & b:
+                    isolated = False
+        return BasePredicates(symmetric, ferro, antiferro, isolated, pairwise)
+
+    @cached_property
+    def atom_clusters(self) -> tuple[tuple[int, tuple[frozenset, ...]], ...]:
+        """Per atom: the bitmask of its compatible configurations and its
+        clusters of more than one site."""
+        return tuple(
+            (_compatible_mask(eta), tuple(c for c in clusters(eta) if len(c) > 1))
+            for eta, _ in self.atoms
+        )
 
 
 def compatible(eta: BondStateAssignment, omega: Config) -> bool:
@@ -156,14 +217,7 @@ def _agree_mask(space: SiteSpace, u: int, v: int) -> int:
 
 def induced_measure(base: RcrBase) -> Measure:
     """The measure represented by a base, normalized over all configurations."""
-    space = base.structure.space
-    raw = [Fraction(0)] * space.size
-    for eta, w in base.atoms:
-        for i in Event(space, _compatible_mask(eta)).indices():
-            raw[i] += w
-    if not any(raw):
-        raise NoCompatiblePair("no configuration is compatible with any atom")
-    return normalize(space, raw)
+    return base.measure
 
 
 @dataclass(frozen=True)
@@ -176,7 +230,7 @@ def verify_rcr(p: Measure, base: RcrBase, eps: Fraction | int = 0) -> RcrCheck:
     """Exact sup-norm deviation between p and the base's induced measure."""
     if p.space != base.structure.space:
         raise SpaceMismatch("measure and base on different spaces")
-    dev = sup_distance(p, induced_measure(base))
+    dev = sup_distance(p, base.measure)
     return RcrCheck(dev, dev <= as_fraction(eps))
 
 
@@ -239,38 +293,8 @@ def _state_reversed(state: frozenset, radices: tuple[int, ...]) -> frozenset:
 
 
 def predicates(base: RcrBase) -> BasePredicates:
-    """Evaluate the structural predicates of a base atom by atom."""
-    struct = base.structure
-    space = struct.space
-    pairwise = all(len(b) <= 2 for b in struct.bonds)
-    binary = space.is_binary
-
-    symmetric = True
-    ferro: bool | None = True if binary else None
-    antiferro: bool | None = True if binary else None
-    isolated = True
-
-    for eta, _ in base.atoms:
-        active_positions = []
-        for i, positions in enumerate(struct.bond_positions):
-            state = eta.states[i]
-            radices = tuple(space.radices[p] for p in positions)
-            if _state_reversed(state, radices) != state:
-                symmetric = False
-            full_size = struct.bond_space_size(i)
-            active = len(state) != full_size
-            if active:
-                active_positions.append(set(positions))
-            if binary:
-                if state and tuple(1 for _ in positions) not in state:
-                    ferro = False
-                if active:
-                    if len(positions) != 2 or state != frozenset({(0, 1), (1, 0)}):
-                        antiferro = False
-        for a, b in combinations(active_positions, 2):
-            if a & b:
-                isolated = False
-    return BasePredicates(symmetric, ferro, antiferro, isolated, pairwise)
+    """The structural predicates of a base, evaluated atom by atom."""
+    return base.predicates
 
 
 def _join_meet_closed(d: Event) -> bool:

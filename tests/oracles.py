@@ -8,10 +8,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, product as iter_product
 
-from rcfold import Event, Measure, SiteSpace, box_with_rule, normalize
+from rcfold import Event, Measure, SiteSpace, normalize
 from rcfold.folding import _defined_folds, _first_folds
 from rcfold.measures import _cylinder_table, weight_summer
-from rcfold.occurrence import _partners, _pushed_rule, _subset_sets, _witness_set
+from rcfold.occurrence import _partners, _subset_sets, _witness_set
 
 
 def brute_upset_masks(n: int) -> list[int]:
@@ -325,28 +325,30 @@ def brute_box_product_sweep(p: Measure) -> dict:
     return {"pairs": checked, "violations": violations}
 
 
-def fraction_fold_gaps(p: Measure, rule, a: Event, b: Event) -> list:
+def fraction_fold_gaps(p: Measure, keep, a: Event, b: Event) -> list:
     """Per defined first fold, in order: (spec, lhs_f - rhs_f), with the
-    fold normalized to a Fraction measure, lhs_f the probability of the box
-    of the slices under the pushed rule and rhs_f that of A and bar(B)."""
+    fold normalized to a Fraction measure, lhs_f the probability of the
+    slice of the unfolded box of the extended slices under ``keep`` (see
+    ``brute_box``), and rhs_f that of A and bar(B)."""
     gaps = []
     for window, fnums in _defined_folds(p.int_weights[0], _first_folds(p.space)):
         folded = normalize(window.folded_space, fnums)
         a_slice = window.slice_event(a)
         b_slice = window.slice_event(b)
-        pushed = _pushed_rule(rule, window)
-        lhs_f = folded.prob(box_with_rule(a_slice, b_slice, pushed))
+        extend = window.extend_event
+        boxed = window.slice_event(brute_box(extend(a_slice), extend(b_slice), keep))
+        lhs_f = folded.prob(boxed)
         rhs_f = folded.prob(a_slice & b_slice.bar())
         gaps.append((window.spec, lhs_f - rhs_f))
     return gaps
 
 
-def fraction_folding_hypothesis(p: Measure, rule, a: Event, b: Event, eps) -> tuple:
+def fraction_folding_hypothesis(p: Measure, keep, a: Event, b: Event, eps) -> tuple:
     """(hypothesis failures, foldings checked, lhs, rhs) of the folding
     hypothesis check, comparing Fraction probabilities per fold."""
-    gaps = fraction_fold_gaps(p, rule, a, b)
+    gaps = fraction_fold_gaps(p, keep, a, b)
     failures = tuple(spec for spec, gap in gaps if gap > eps)
-    lhs = p.prob(box_with_rule(a, b, rule))
+    lhs = p.prob(brute_box(a, b, keep))
     return failures, len(gaps), lhs, p.prob(a) * p.prob(b)
 
 

@@ -176,6 +176,23 @@ class TestOccurrenceCommands:
         obj = json.loads(out)
         assert obj["lhs"] == "1/6" and obj["rhs"] == "1/3" and obj["ok"] is True
 
+    def test_check_232_base_on_another_space_exits_2(self, tmp_path, capsys):
+        bundles = {}
+        for n, edges in ((2, [[1, 2, "2/1"]]), (3, [[1, 2, "2/1"], [2, 3, "2/1"]])):
+            spec = {"vertices": list(range(1, n + 1)), "edges": edges, "fields": None}
+            path = write_json(tmp_path, f"s{n}.json", spec)
+            bundles[n] = json.loads(run_cli(["rcr", "ising", path], capsys)[1])
+        measure = write_json(tmp_path, "m.json", dumps_canonical(bundles[2]["measure"]))
+        base = write_json(tmp_path, "b.json", dumps_canonical(bundles[3]["base"]))
+        space = {"sites": [1, 2], "alphabets": [[0, 1], [0, 1]]}
+        a = write_json(tmp_path, "a.json", {**space, "configs": [[0, 1], [1, 1]]})
+        b = write_json(tmp_path, "bev.json", {**space, "configs": [[0, 0], [0, 1]]})
+        args = ["--measure", measure, "--base", base, "--a", a, "--b", b]
+        code = main(["occurrence", "check-232"] + args)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: measure and base on different spaces\n"
+
     def test_check_233_exit_code(self, tmp_path, capsys):
         spec_path = write_json(
             tmp_path,

@@ -9,7 +9,9 @@ from rcfold import (
     Measure,
     NonBinaryAlphabet,
     PreconditionFailed,
+    RcrBase,
     SiteSpace,
+    SpaceMismatch,
     box,
     box_with_rule,
     check_disjoint_cluster_bound,
@@ -25,7 +27,7 @@ from rcfold import (
     IsingSpec,
     normalize,
 )
-from rcfold.folding import _first_fold_specs
+from rcfold.folding import _extension_folds, _first_fold_specs
 from rcfold.occurrence import box_product_sweep
 from rcfold.generators import random_product_measure, random_fkg_measure
 
@@ -211,6 +213,21 @@ class TestBoxOracle:
                     expect = Event.from_predicate(space, lambda w: bool(rule.select(a, b, w)))
                     assert box_with_rule(a, b, rule) == expect
 
+    def test_twice_pushed_rules_box_the_twice_sliced_box(self):
+        sp = binary(3)
+        for spec in _first_fold_specs(sp):
+            first = fold_window(sp, spec)
+            for second in _extension_folds(first.folded_space):
+                for make, keep in RULES_AND_KEEPS:
+                    once = induced_rule(make(), sp, spec)
+                    pushed = induced_rule(once, first.folded_space, second.spec)
+                    assert pushed.windows == (first, second)
+                    for a, b in _event_pairs(second.folded_space, 4, seed=len(spec.k_sites)):
+                        up_a = first.extend_event(second.extend_event(a))
+                        up_b = first.extend_event(second.extend_event(b))
+                        unfolded = brute_box(up_a, up_b, keep)
+                        expect = second.slice_event(first.slice_event(unfolded))
+                        assert box_with_rule(a, b, pushed) == expect
 
     def test_pushing_raises_exactly_where_a_three_symbol_site_survives(self):
         sp = ORACLE_SPACES[-1]
@@ -223,6 +240,38 @@ class TestBoxOracle:
                 raising.append(spec)
         assert len(specs) == 18 and len(raising) == 9
         assert raising == [s for s in specs if 1 not in s.k_sites]
+
+
+class TestSpaceChecks:
+    def test_a_pushed_rule_boxes_events_on_its_folded_space_only(self):
+        sp3 = binary(3)
+        spec = FoldSpec((1,), (0,))
+        pushed = induced_rule(full_rule(), sp3, spec)
+        folded = fold_window(sp3, spec).folded_space
+        full = Event.full(folded)
+        assert box_with_rule(full, full, pushed) == full
+        for sp in (sp3, SiteSpace.binary(("x", "y"))):
+            a = b = Event.full(sp)
+            with pytest.raises(SpaceMismatch):
+                box_with_rule(a, b, pushed)
+            with pytest.raises(SpaceMismatch):
+                pushed.select(a, b, sp.config_at(0))
+
+    def test_mixed_site_ids_fold_and_box(self):
+        sp = SiteSpace((1, "a", (2, 3)), ((0, 1),) * 3)
+        m = normalize(sp, [1, 2, 3, 4, 5, 6, 7, 9])
+        spec = FoldSpec(("a",), (1,))
+        folded = fold(m, spec)
+        assert folded.space.sites == (1, (2, 3))
+        assert folded == normalize(folded.space, [3 * 9, 4 * 7, 7 * 4, 9 * 3])
+        keep = RULES_AND_KEEPS[1][1]
+        for a, b in _event_pairs(sp, 16, seed=5):
+            assert box_with_rule(a, b, increasing_only_rule()) == brute_box(a, b, keep)
+        pushed = induced_rule(increasing_only_rule(), sp, spec)
+        window = fold_window(sp, spec)
+        for a, b in _event_pairs(folded.space, 16, seed=6):
+            expect = brute_box(window.extend_event(a), window.extend_event(b), keep)
+            assert box_with_rule(a, b, pushed) == window.slice_event(expect)
 
 
 class TestEventSlice:
@@ -260,7 +309,7 @@ class TestEventSlice:
                     assert lhs.is_subset(rhs)
 
     def test_slice_inclusion_exhaustive_two_sites(self):
-        from rcfold.folding import _first_fold_specs
+        from rcfold.folding import _extension_folds, _first_fold_specs
 
         sp = binary(2)
         rules = [full_rule(), increasing_only_rule()]
@@ -351,6 +400,32 @@ class TestDisjointClusterBound:
                 p, base, full_rule(), Event.full(sp), Event.full(sp), 0
             )
 
+    def test_base_on_another_space_is_a_space_mismatch(self):
+        m = ising_build(IsingSpec((1, 2), ((1, 2, F(2)),))).measure
+        base3 = ising_build(IsingSpec((1, 2, 3), ((1, 2, F(2)), (2, 3, F(2))))).base
+        a, b = Event(m.space, 10), Event(m.space, 3)  # a pair whose box meets an atom
+        with pytest.raises(SpaceMismatch, match="measure and base on different spaces"):
+            check_disjoint_cluster_bound(m, base3, increasing_decreasing_rule(), a, b, 0)
+
+    def test_a_reused_base_reports_as_a_fresh_copy(self):
+        build = ising_build(
+            IsingSpec((1, 2, 3), ((1, 2, F(2)), (2, 3, F(2)), (1, 3, F(2))))
+        )
+        sp = build.measure.space
+        rule = increasing_decreasing_rule()
+        ups = enumerate_upsets(sp)
+        verdicts = set()
+        for p, eps in ((build.measure, 0), (Measure.uniform(sp), F(1, 20))):
+            for a in ups[::3]:
+                for b_up in ups[::2]:
+                    b = b_up.complement()
+                    fresh = RcrBase(build.base.structure, build.base.atoms)
+                    assert fresh == build.base and "measure" not in vars(fresh)
+                    rep = check_disjoint_cluster_bound(p, build.base, rule, a, b, eps)
+                    assert rep == check_disjoint_cluster_bound(p, fresh, rule, a, b, eps)
+                    verdicts.add(rep.base_within_eps)
+        assert verdicts == {True, False}
+
     def test_three_site_sweep(self):
         build = ising_build(
             IsingSpec((1, 2, 3), ((1, 2, F(2)), (2, 3, F(2)), (1, 3, F(2))))
@@ -424,8 +499,9 @@ class TestFoldingHypothesisBound:
             for _ in range(pairs):
                 a = Event(sp, rng.randrange(1 << sp.size))
                 b = Event(sp, rng.randrange(1 << sp.size))
-                for rule in (full_rule(), increasing_only_rule()):
-                    spec, gap = max(fraction_fold_gaps(m, rule, a, b), key=lambda sg: sg[1])
+                for make, keep in RULES_AND_KEEPS[:2]:
+                    rule = make()
+                    spec, gap = max(fraction_fold_gaps(m, keep, a, b), key=lambda sg: sg[1])
                     eps_values = [F(0), F(-1, 7)]
                     if gap > 0:
                         failing += 1
@@ -434,7 +510,7 @@ class TestFoldingHypothesisBound:
                     for eps in eps_values:
                         rep = reports[eps] = check_folding_hypothesis_bound(m, rule, a, b, eps)
                         got = (rep.hypothesis_failures, rep.foldings_checked, rep.lhs, rep.rhs)
-                        assert got == fraction_folding_hypothesis(m, rule, a, b, eps)
+                        assert got == fraction_folding_hypothesis(m, keep, a, b, eps)
                     if gap > 0:
                         assert spec not in reports[gap].hypothesis_failures
                         assert spec in reports[gap - F(1, 10**6)].hypothesis_failures

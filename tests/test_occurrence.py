@@ -309,7 +309,7 @@ class TestEventSlice:
                     assert lhs.is_subset(rhs)
 
     def test_slice_inclusion_exhaustive_two_sites(self):
-        from rcfold.folding import _extension_folds, _first_fold_specs
+        from rcfold.folding import _first_fold_specs
 
         sp = binary(2)
         rules = [full_rule(), increasing_only_rule()]

@@ -190,27 +190,19 @@ def _cmd_rcr(args) -> int:
 
 def _cmd_occurrence(args) -> int:
     measure = _read(args.measure, measure_from_json) if args.measure else None
+    a = _read(args.a, event_from_json, measure.space if measure else None)
+    b = _read(args.b, event_from_json, a.space)
+    rule = rule_by_name(args.rule)
     if args.occ_cmd == "box":
-        space = measure.space if measure else None
-        a = _read(args.a, event_from_json, space)
-        b = _read(args.b, event_from_json, a.space)
-        boxed = box_with_rule(a, b, rule_by_name(args.rule))
-        _emit(event_to_json(boxed), args.out)
+        _emit(event_to_json(box_with_rule(a, b, rule)), args.out)
         return 0
+    eps = _number(args.eps, "--eps")
     if args.occ_cmd == "check-232":
         base = _read(args.base, base_from_json)
-        a = _read(args.a, event_from_json, measure.space)
-        b = _read(args.b, event_from_json, measure.space)
-        rep = check_disjoint_cluster_bound(
-            measure, base, rule_by_name(args.rule), a, b, _number(args.eps, "--eps")
-        )
+        rep = check_disjoint_cluster_bound(measure, base, rule, a, b, eps)
         _emit(jsonable(rep), args.out)
         return 0 if rep.ok else 1
-    a = _read(args.a, event_from_json, measure.space)  # check-233
-    b = _read(args.b, event_from_json, measure.space)
-    rep = check_folding_hypothesis_bound(
-        measure, rule_by_name(args.rule), a, b, _number(args.eps, "--eps")
-    )
+    rep = check_folding_hypothesis_bound(measure, rule, a, b, eps)  # check-233
     _emit(jsonable(rep), args.out)
     return 0 if rep.consistent else 1
 

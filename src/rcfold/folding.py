@@ -18,9 +18,8 @@ Every step is carried out on integer configuration indices through one
 table, ``FoldWindow.lift``: the full-space index of each folded
 configuration. Because reversal complements the folded bits, the reversed
 configuration of folded index f lifts to ``lift[-1 - f]``, so a fold is
-``nums[lift[f]] * nums[lift[-1 - f]]`` per f. Slicing an event, lifting a
-configuration and extending a folded event back over the conditioned sites
-all read the same table.
+``nums[lift[f]] * nums[lift[-1 - f]]`` per f. Slicing an event and lifting
+a configuration read the same table.
 
 The essential branches form a tree: a first fold, then nonempty-K steps,
 each removing at least one site. The pipelines walk it memoised
@@ -44,7 +43,6 @@ from .measures import (
     Event,
     Measure,
     SiteSpace,
-    _cylinder_table,
     normalize,
     sup_distance,
 )
@@ -204,21 +202,6 @@ class FoldWindow:
         return Event.from_indices(
             self.folded_space, (f for f, i in enumerate(self.lift) if mask >> i & 1)
         )
-
-    def extend_event(self, folded_event: Event) -> Event:
-        """Full-space configurations that agree, on the surviving sites, with
-        the lift of a member of the folded event.
-
-        The conditioned sites run free; a configuration carrying a symbol
-        outside the beta pair at a surviving site lifts no folded
-        configuration and is left out. The box run on the extension reads
-        the same cylinder table.
-        """
-        cylinders = _cylinder_table(self.space)
-        mask = 0
-        for f in folded_event.indices():
-            mask |= cylinders[self.lift[f]][self.co_mask]
-        return Event(self.space, mask)
 
 
 def fold_window(space: SiteSpace, spec: FoldSpec) -> FoldWindow:

@@ -3,21 +3,23 @@
 For events A, B and a configuration w, a witness pair is a pair of
 disjoint site sets (K, L) such that the cylinder of w on K lies inside A
 and the cylinder on L lies inside B. A site set is held as a position-mask
-(bit p for the site at position p), and the witness set of an event at w
-as one bitmask over position-masks, computed by ``_witness_set`` alone.
-A selection rule is a side filter: at each configuration it gives the
-positions the A-side and the B-side of a kept pair may use. Its box
-operation collects the configurations where some pair is kept. Rules can
-be pushed through folding steps; a pushed rule's box is evaluated only at
-the lifted configurations, folded index f at ``w1.lift[w2.lift[...[f]]]``
-for its windows w1, w2, ..., first fold first. Two checkable bounds tie the
-machinery to measures: the disjoint-cluster bound (box probability against
-the bar-reflected intersection, given a symmetric cluster base whose
-clusters never straddle a witness pair) and the folding hypothesis bound
-(per-folding box inequalities forcing the product bound upstairs). The
-first check reads the base's induced measure, predicates and per-atom
-clusters, which are computed once per base (``RcrBase``); the second
-resolves the first-fold windows once per space.
+(bit p for the site at position p), the witness set of an event at w as
+one bitmask over position-masks. A selection rule is a side filter: at
+each configuration it gives the positions the A-side and the B-side of a
+kept pair may use. Its box operation collects the configurations where
+some pair is kept. An event's witness sets and a rule's sides at every
+configuration are tabulated once per space (``_witness_row``,
+``_side_table``). A rule pushed through a fold is a rule on the folded
+space: the surviving sites are binary, so K is a witness of an event
+extended over the conditioned sites at the lift of f exactly when K cut
+to the surviving sites is a witness of the event at f. Its sides at f are
+the sides at the lift of f cut to the surviving positions
+(``_pushed_sides``), and pushing twice composes. Two checkable bounds tie
+the machinery to measures: the disjoint-cluster bound (box probability
+against the bar-reflected intersection, given a symmetric cluster base
+none of whose clusters straddles a kept witness pair, compared as position
+masks) and the folding hypothesis bound (per-folding box inequalities
+forcing the product bound upstairs).
 """
 from __future__ import annotations
 
@@ -42,12 +44,16 @@ from .measures import (
 from .rcr import RcrBase, predicates, verify_rcr
 
 
-def _witness_set(cylinders: tuple[int, ...], mask: int) -> int:
-    """The position-masks K with [w]_K inside the event ``mask``, as a
-    bitmask over K, given the cylinder row of w (``_cylinder_table``). The
-    set is upward closed: a larger K has a smaller cylinder."""
+@lru_cache(maxsize=1024)  # the three occurrence suites box 318 distinct events
+def _witness_row(space: SiteSpace, mask: int) -> tuple[int, ...]:
+    """Entry i: the position-masks K with [w]_K inside the event ``mask``
+    at configuration i, as a bitmask over K, read from the cylinder table.
+    Each set is upward closed: a larger K has a smaller cylinder."""
     outside = ~mask
-    return sum(1 << k for k, cyl in enumerate(cylinders) if not cyl & outside)
+    return tuple(
+        sum(1 << k for k, cyl in enumerate(row) if not cyl & outside)
+        for row in _cylinder_table(space)
+    )
 
 
 @lru_cache(maxsize=None)  # keyed on the site count n, 2**n entries each
@@ -71,8 +77,16 @@ def _partners(ks: int, within: tuple[int, ...]) -> int:
     return out
 
 
-def _sites_of(space: SiteSpace, kmask: int) -> frozenset:
-    return frozenset(space.sites[p] for p in range(space.n) if kmask >> p & 1)
+def _disjoint_pairs(ks: int, ls: int, n: int) -> list[tuple[int, int]]:
+    """The disjoint pairs (K, L) of position-masks with K in ``ks`` and L in ``ls``."""
+    kmasks = range(1 << n)
+    return [(k, l) for k in kmasks if ks >> k & 1 for l in kmasks if ls >> l & 1 and not k & l]
+
+
+@lru_cache(maxsize=256)  # the three occurrence suites use 78 (sides, space) tables
+def _side_table(sides, space: SiteSpace) -> tuple[tuple[int, int], ...]:
+    """A rule's sides at every configuration index of a space."""
+    return tuple(sides(space, i) for i in range(space.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,71 +95,65 @@ class SelectionRule:
 
     ``sides(space, index)`` gives two position-masks; at that configuration
     the rule keeps the witness pairs (K, L) with K inside the first and L
-    inside the second. A rule pushed through folds carries their windows,
-    first fold first, and runs its sides on the unfolded space.
+    inside the second. The sides must depend on their arguments alone, as
+    they are tabulated once per space. A rule pushed through a fold is a
+    rule on the folded space, ``space``; an unpushed rule has none and runs
+    on every space.
     """
 
     name: str
     sides: Callable[[SiteSpace, int], tuple[int, int]]
-    windows: tuple[FoldWindow, ...] = ()
+    space: SiteSpace | None = None
 
-    def _kept(self, a: Event, b: Event, index: int, table, within: tuple[int, ...]):
-        """The kept A-side and B-side witness sets at ``index``."""
-        sa, sb = self.sides(a.space, index)
-        cylinders = table[index]
-        return (
-            _witness_set(cylinders, a.mask) & within[sa],
-            _witness_set(cylinders, b.mask) & within[sb],
-        )
-
-    def _lifted(self, a: Event, b: Event) -> tuple[Event, Event, list[int] | range]:
-        """A and B extended to the unfolded space, with the lift there of each
-        index of their own space: ``w1.lift[w2.lift[...[f]]]`` for windows
-        w1, w2, ..., the identity for a rule that was never pushed."""
-        if a.space != b.space:
+    def _kept(self, a: Event, b: Event) -> list[tuple[int, int]]:
+        """Per configuration index, the kept A-side and B-side witness sets."""
+        space = a.space
+        if b.space != space:
             raise SpaceMismatch("events on different spaces")
-        lift = range(a.space.size)
-        if self.windows and a.space != self.windows[-1].folded_space:
+        if self.space is not None and space != self.space:
             raise SpaceMismatch("events not on the folded space of the pushed rule")
-        for window in reversed(self.windows):
-            a, b = window.extend_event(a), window.extend_event(b)
-            lift = [window.lift[i] for i in lift]
-        return a, b, lift
+        within = _subset_sets(space.n)
+        sides = _side_table(self.sides, space)
+        rows = zip(sides, _witness_row(space, a.mask), _witness_row(space, b.mask))
+        return [(ka & within[sa], lb & within[sb]) for (sa, sb), ka, lb in rows]
 
     def select(self, a: Event, b: Event, omega: Config) -> frozenset:
         """The kept witness pairs at omega, as pairs of site frozensets."""
         if a.space != omega.space or b.space != omega.space:
             raise SpaceMismatch("events and configuration on different spaces")
-        a, b, lift = self._lifted(a, b)
-        space = a.space
-        ka, lb = self._kept(a, b, lift[omega.index], _cylinder_table(space), _subset_sets(space.n))
-        kmasks = range(1 << space.n)
-        keep = frozenset(omega.space.sites)
+        space = omega.space
+        ka, lb = self._kept(a, b)[omega.index]
         return frozenset(
-            (_sites_of(space, k) & keep, _sites_of(space, l) & keep)
-            for k in kmasks
-            if ka >> k & 1
-            for l in kmasks
-            if lb >> l & 1 and not k & l
+            (_sites_of(space, k), _sites_of(space, l)) for k, l in _disjoint_pairs(ka, lb, space.n)
         )
+
+
+def _sites_of(space: SiteSpace, kmask: int) -> frozenset:
+    return frozenset(space.sites[p] for p in range(space.n) if kmask >> p & 1)
+
+
+def _full_sides(space: SiteSpace, index: int) -> tuple[int, int]:
+    return ((1 << space.n) - 1,) * 2
 
 
 def _ones_zeros(space: SiteSpace, index: int) -> tuple[int, int]:
     """Position-masks of the sites at their top and at their bottom symbol."""
-    coords = list(enumerate(zip(space.values_at(index), space.radices)))
-    ones = sum(1 << p for p, (v, r) in coords if v == r - 1)
-    return ones, sum(1 << p for p, (v, _) in coords if v == 0)
+    masks = space.value_masks
+    ones = sum(1 << p for p, row in enumerate(masks) if row[-1] >> index & 1)
+    return ones, sum(1 << p for p, row in enumerate(masks) if row[0] >> index & 1)
+
+
+def _ones_ones(space: SiteSpace, index: int) -> tuple[int, int]:
+    return (_ones_zeros(space, index)[0],) * 2
 
 
 def full_rule() -> SelectionRule:
-    return SelectionRule("full", lambda space, index: ((1 << space.n) - 1,) * 2)
+    return SelectionRule("full", _full_sides)
 
 
 def increasing_only_rule() -> SelectionRule:
     """Keep witness pairs recognized inside the 1s of the configuration."""
-    return SelectionRule(
-        "increasing_only", lambda space, index: (_ones_zeros(space, index)[0],) * 2
-    )
+    return SelectionRule("increasing_only", _ones_ones)
 
 
 def increasing_decreasing_rule() -> SelectionRule:
@@ -173,24 +181,11 @@ def box(a: Event, b: Event) -> Event:
 
 
 def box_with_rule(a: Event, b: Event, rule: SelectionRule) -> Event:
-    """Configurations where the rule keeps at least one witness pair.
-
-    A pushed rule keeps a pair at a folded configuration exactly when the
-    unpushed rule keeps one at its lift for the extended events, so it is
-    evaluated at the lifted configurations alone. The events must lie on the
-    folded space of the rule's last window.
-    """
-    space = a.space
-    a, b, lift = rule._lifted(a, b)
-    unfolded = a.space
-    table = _cylinder_table(unfolded)
-    within = _subset_sets(unfolded.n)
-    mask = 0
-    for f, i in enumerate(lift):
-        ka, lb = rule._kept(a, b, i, table, within)
-        if ka and _partners(ka, within) & lb:
-            mask |= 1 << f
-    return Event(space, mask)
+    """Configurations where the rule keeps at least one witness pair. The
+    events of a pushed rule must lie on its folded space."""
+    within = _subset_sets(a.space.n)
+    kept = enumerate(rule._kept(a, b))
+    return Event(a.space, sum(1 << i for i, (ka, lb) in kept if ka and _partners(ka, within) & lb))
 
 
 def box_product_sweep(p: Measure) -> dict:
@@ -228,9 +223,11 @@ def box_product_sweep(p: Measure) -> dict:
         hits = (upset(cyl) for k, cyl in enumerate(table[i]) if allowed >> k & 1)
         return den * nums[i] * reduce(or_, hits, 0)
 
+    support = [i for i in range(size) if nums[i]]
     violations = []
     for a in range(n_events):
-        lhs = sum(term(i, _witness_set(row, a)) for i, row in enumerate(table) if nums[i])
+        row = _witness_row(p.space, a)
+        lhs = sum(term(i, row[i]) for i in support)
         bad = fields.below(sums[a] * packed_sums, lhs)
         if bad:
             violations.extend((a, b) for b in fields.indices(bad))
@@ -257,7 +254,25 @@ def induced_rule(rule: SelectionRule, space: SiteSpace, spec: FoldSpec) -> Selec
 
 
 def _pushed_rule(rule: SelectionRule, window: FoldWindow) -> SelectionRule:
-    return SelectionRule(f"{rule.name}@fold", rule.sides, rule.windows + (window,))
+    if rule.space is not None and rule.space != window.space:
+        raise SpaceMismatch("rule pushed through a fold of another space")
+    pushed = _pushed_sides(rule.sides, window)
+    return SelectionRule(f"{rule.name}@fold", pushed, window.folded_space)
+
+
+@lru_cache(maxsize=256)  # the three occurrence suites push through 72 (sides, window) pairs
+def _pushed_sides(sides, window: FoldWindow) -> Callable[[SiteSpace, int], tuple[int, int]]:
+    """The sides of a rule pushed through ``window``, on the folded space: at
+    f, the sides at ``lift[f]`` cut to the surviving positions, the j-th one
+    becoming position j. One function per (sides, window), so that pushing
+    the pushed rule again finds its table cached."""
+    surviving = [p for p in range(window.space.n) if window.co_mask >> p & 1]
+    table = _side_table(sides, window.space)
+    folded = tuple(
+        tuple(sum(1 << j for j, p in enumerate(surviving) if side >> p & 1) for side in table[i])
+        for i in window.lift
+    )
+    return lambda space, f: folded[f]
 
 
 @dataclass(frozen=True)
@@ -303,17 +318,16 @@ def check_disjoint_cluster_bound(
         raise PreconditionFailed("base is not symmetric")
 
     boxed = box_with_rule(a, b, rule)
-    boxed_configs = [p.space.config_at(i) for i in boxed.indices()]
-    kept_pairs = [rule.select(a, b, omega) for omega in boxed_configs]
+    kept = rule._kept(a, b)
+    pairs = {i: _disjoint_pairs(*kept[i], p.space.n) for i in boxed.indices()}
     for (eta, _), (compat, comps) in zip(base.atoms, base.atom_clusters):
-        for omega, pairs in zip(boxed_configs, kept_pairs):
-            if not compat >> omega.index & 1:
-                continue
-            if not any(
-                all(not (c & k and c & l) for c in comps) for k, l in pairs
+        for i in pairs:
+            if compat >> i & 1 and not any(
+                all(not (c & k and c & l) for c in comps) for k, l in pairs[i]
             ):
                 raise PreconditionFailed(
-                    f"rule uses a straddling cluster of atom {eta.sort_key()} at {omega}"
+                    f"rule uses a straddling cluster of atom {eta.sort_key()}"
+                    f" at {p.space.config_at(i)}"
                 )
 
     eps = as_fraction(eps)

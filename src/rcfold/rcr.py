@@ -183,13 +183,15 @@ class RcrBase:
         return BasePredicates(symmetric, ferro, antiferro, isolated, pairwise)
 
     @cached_property
-    def atom_clusters(self) -> tuple[tuple[int, tuple[frozenset, ...]], ...]:
+    def atom_clusters(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Per atom: the bitmask of its compatible configurations and its
-        clusters of more than one site."""
-        return tuple(
-            (_compatible_mask(eta), tuple(c for c in clusters(eta) if len(c) > 1))
-            for eta, _ in self.atoms
-        )
+        clusters of more than one site, as position masks."""
+        pos = self.structure.space.site_pos
+
+        def masks(eta):
+            return tuple(sum(1 << pos[s] for s in c) for c in clusters(eta) if len(c) > 1)
+
+        return tuple((_compatible_mask(eta), masks(eta)) for eta, _ in self.atoms)
 
 
 def compatible(eta: BondStateAssignment, omega: Config) -> bool:

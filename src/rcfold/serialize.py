@@ -12,7 +12,7 @@ from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any
 
-from .errors import InvalidParams
+from .errors import InvalidParams, SpaceMismatch
 from .folding import BranchLimit, FoldPath, FoldSpec
 from .measures import Config, Event, Measure, SiteSpace
 from .rcr import BondStateAssignment, HyperbondStructure, IsingSpec, RcrBase
@@ -70,8 +70,12 @@ def event_to_json(e: Event) -> dict:
 
 
 def event_from_json(obj: dict, space: SiteSpace | None = None) -> Event:
+    """An event on ``space``, or on the file's own space without one; a file
+    that declares another space than the given one raises SpaceMismatch."""
     if space is None:
         space = space_from_json(obj)
+    elif ("sites" in obj or "alphabets" in obj) and space_from_json(obj) != space:
+        raise SpaceMismatch("event file declares another space than the one it is read on")
     if "mask_hex" in obj:
         return Event(space, int(obj["mask_hex"], 16))
     if "configs" in obj:

@@ -11,7 +11,7 @@ from itertools import combinations, product as iter_product
 from rcfold import Event, Measure, SiteSpace, normalize
 from rcfold.folding import _defined_folds, _first_folds
 from rcfold.measures import _cylinder_table, weight_summer
-from rcfold.occurrence import _partners, _subset_sets, _witness_set
+from rcfold.occurrence import _partners, _subset_sets
 
 
 def brute_upset_masks(n: int) -> list[int]:
@@ -226,13 +226,45 @@ def brute_box(a: Event, b: Event, keep) -> Event:
     the cylinder of w on K inside A, the cylinder on L inside B, and
     ``keep(w, K, L)`` true.
     """
-    members = []
-    for w, cylinders in _brute_cylinders(a.space):
-        ks = [k for k, cyl in cylinders if cyl.is_subset(a)]
-        ls = [l for l, cyl in cylinders if cyl.is_subset(b)]
-        if any(not k & l and keep(w, k, l) for k in ks for l in ls):
-            members.append(w.index)
-    return Event.from_indices(a.space, members)
+    return Event.from_predicate(
+        a.space, lambda w: any(keep(w, k, l) for k, l in brute_pairs(a, b, w))
+    )
+
+
+def brute_pairs(a: Event, b: Event, w):
+    """The disjoint witness pairs (K, L) of A and B at w, as site frozensets."""
+    cylinders = _brute_cylinders(a.space)[w.index][1]
+    ks = [k for k, cyl in cylinders if cyl.is_subset(a)]
+    ls = [l for l, cyl in cylinders if cyl.is_subset(b)]
+    return ((k, l) for k in ks for l in ls if not k & l)
+
+
+def extend_event(window, folded_event: Event) -> Event:
+    """The full-space configurations that agree, on the surviving sites of
+    ``window``, with the lift of a member of the folded event; the
+    conditioned sites run free."""
+    space = window.space
+    surviving = [p for p in range(space.n) if window.co_mask >> p & 1]
+    lifts = [space.values_at(window.lift[f]) for f in folded_event.indices()]
+    return Event.from_predicate(
+        space, lambda w: any(all(w.values[p] == v[p] for p in surviving) for v in lifts)
+    )
+
+
+def brute_pushed_select(windows, keep, a: Event, b: Event, omega) -> frozenset:
+    """The kept pairs at the folded configuration omega of a rule pushed
+    through ``windows`` (first fold first), from the definition: the
+    brute-force witness pairs of the events extended to the unfolded space,
+    at the lift of omega, under ``keep``, each cut to the surviving sites."""
+    index = omega.index
+    for window in reversed(windows):
+        a, b = extend_event(window, a), extend_event(window, b)
+        index = window.lift[index]
+    w = a.space.config_at(index)
+    surviving = frozenset(omega.space.sites)
+    return frozenset(
+        (k & surviving, l & surviving) for k, l in brute_pairs(a, b, w) if keep(w, k, l)
+    )
 
 
 @cache
@@ -304,7 +336,10 @@ def brute_box_product_sweep(p: Measure) -> dict:
     nums, den = p.int_weights
     wsum = weight_summer(nums, size)
     table = _cylinder_table(space)
-    witness = [[_witness_set(row, a) for row in table] for a in range(n_events)]
+    witness = [
+        [sum(1 << k for k, cyl in enumerate(row) if not cyl & ~a) for row in table]
+        for a in range(n_events)
+    ]
     allowed = [[_partners(ks, within) for ks in row] for row in witness]
     sums = [wsum(a) for a in range(n_events)]
 
@@ -335,8 +370,8 @@ def fraction_fold_gaps(p: Measure, keep, a: Event, b: Event) -> list:
         folded = normalize(window.folded_space, fnums)
         a_slice = window.slice_event(a)
         b_slice = window.slice_event(b)
-        extend = window.extend_event
-        boxed = window.slice_event(brute_box(extend(a_slice), extend(b_slice), keep))
+        up_a, up_b = extend_event(window, a_slice), extend_event(window, b_slice)
+        boxed = window.slice_event(brute_box(up_a, up_b, keep))
         lhs_f = folded.prob(boxed)
         rhs_f = folded.prob(a_slice & b_slice.bar())
         gaps.append((window.spec, lhs_f - rhs_f))

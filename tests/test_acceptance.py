@@ -187,3 +187,15 @@ REPORT_SHA256 = {
 def test_report_bytes_pinned(name):
     text = render_report(report(name, instances=3))
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name]
+
+
+# SHA-256 of the full-size lemma-233 report: seed 7, jobs 1, its default 20
+# instances. The bk-sanity and lemma-232 constants above already pin their
+# full-size reports, since bk-sanity defaults to 3 products and lemma-232
+# takes no instance count.
+LEMMA_233_FULL_SHA256 = "6db4eefc0b1c6cca06e0b18672e3ffb4bac3c0bfe9546622abab3deeef6e30fa"
+
+
+def test_full_size_lemma_233_report_pinned():
+    text = render_report(report("lemma-233"))
+    assert hashlib.sha256(text.encode()).hexdigest() == LEMMA_233_FULL_SHA256

@@ -226,6 +226,39 @@ class TestOccurrenceCommands:
         assert obj["consistent"] is True and code == 0
 
 
+    @pytest.mark.parametrize("command", ["box", "check-232", "check-233"])
+    def test_an_event_declaring_another_space_exits_2(self, command, tmp_path, capsys):
+        spec = {"vertices": [1, 2, 3, 4], "edges": [[1, 2, "2/1"]], "fields": None}
+        code, out = run_cli(["rcr", "ising", write_json(tmp_path, "spec.json", spec)], capsys)
+        bundle = json.loads(out)
+        m4 = write_json(tmp_path, "m4.json", dumps_canonical(bundle["measure"]))
+        base = write_json(tmp_path, "b4.json", dumps_canonical(bundle["base"]))
+        four = {"sites": [1, 2, 3, 4], "alphabets": [[0, 1]] * 4}
+        three = {"sites": [1, 2, 3], "alphabets": [[0, 1]] * 3}
+        a4 = write_json(tmp_path, "a4.json", {**four, "mask_hex": "0xff00"})
+        a3 = write_json(tmp_path, "a3.json", {**three, "mask_hex": "0xf0"})
+        args = {
+            "box": ["occurrence", "box", "--a", a4, "--b", a3],
+            "check-232": ["occurrence", "check-232", "--measure", m4, "--base", base],
+            "check-233": ["occurrence", "check-233", "--measure", m4],
+        }[command]
+        if command != "box":
+            args += ["--a", a3, "--b", a3]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: event file declares another space")
+
+    def test_an_event_without_a_space_reads_on_the_measure_space(self, tmp_path, capsys):
+        spec = {"vertices": [1, 2], "edges": [[1, 2, "2/1"]], "fields": None}
+        code, out = run_cli(["rcr", "ising", write_json(tmp_path, "spec.json", spec)], capsys)
+        m = write_json(tmp_path, "m.json", dumps_canonical(json.loads(out)["measure"]))
+        a = write_json(tmp_path, "a.json", {"mask_hex": "0xc"})
+        b = write_json(tmp_path, "b.json", {"configs": [[0, 1], [1, 1]]})
+        args = ["occurrence", "check-233", "--measure", m, "--a", a, "--b", b]
+        code, out = run_cli(args + ["--rule", "increasing_only"], capsys)
+        assert code == 0 and json.loads(out)["conclusion_ok"] is False
+
     @pytest.mark.parametrize("eps", ["x", "1/0"], ids=["malformed", "zero-denominator"])
     @pytest.mark.parametrize("command", ["rcr-verify", "check-232", "check-233"])
     def test_bad_eps_is_usage_error(self, command, eps, tmp_path, capsys):

@@ -20,7 +20,7 @@ from rcfold import (
     normalize,
     sup_distance,
 )
-from rcfold.serialize import measure_from_json, measure_to_json
+from rcfold.serialize import event_from_json, event_to_json, measure_from_json, measure_to_json
 
 from oracles import brute_bar, brute_cylinder, brute_upset_masks, is_increasing
 
@@ -268,3 +268,24 @@ class TestMeasureJson:
         obj["weights"][0] = bad
         with pytest.raises(InvalidParams):
             measure_from_json(obj)
+
+
+class TestEventJson:
+    def test_round_trip_on_its_own_and_on_the_same_space(self):
+        sp = binary(3)
+        for e in (Event(sp, 0b10010110), Event.full(binary(7))):
+            obj = event_to_json(e)
+            assert event_from_json(obj) == e == event_from_json(obj, e.space)
+
+    def test_a_declared_space_that_differs_is_a_space_mismatch(self):
+        three = {"sites": [1, 2, 3], "alphabets": [[0, 1]] * 3}
+        with pytest.raises(SpaceMismatch):
+            event_from_json({**three, "mask_hex": "0x81"}, binary(4))
+        moved = {"sites": [4, 5, 6], "alphabets": [[0, 1]] * 3, "configs": [[1, 0, 1]]}
+        with pytest.raises(SpaceMismatch):
+            event_from_json(moved, binary(3))
+
+    def test_an_undeclared_space_reads_on_the_given_one(self):
+        sp = binary(3)
+        assert event_from_json({"mask_hex": "0x81"}, sp) == Event(sp, 0x81)
+        assert event_from_json({"configs": [[1, 0, 1]]}, sp) == Event.from_indices(sp, [5])

@@ -34,6 +34,8 @@ from rcfold.generators import random_product_measure, random_fkg_measure
 from oracles import (
     brute_box,
     brute_box_product_sweep,
+    brute_pushed_select,
+    extend_event,
     fraction_fold_gaps,
     fraction_folding_hypothesis,
 )
@@ -197,7 +199,7 @@ class TestBoxOracle:
                     continue
                 pushed = induced_rule(make(), sp, spec)
                 for a, b in _event_pairs(window.folded_space, 12, seed=len(spec.k_sites)):
-                    expect = brute_box(window.extend_event(a), window.extend_event(b), keep)
+                    expect = brute_box(extend_event(window, a), extend_event(window, b), keep)
                     assert box_with_rule(a, b, pushed) == window.slice_event(expect)
 
     @pytest.mark.parametrize("sp", ORACLE_SPACES, ids=ORACLE_IDS)
@@ -221,13 +223,33 @@ class TestBoxOracle:
                 for make, keep in RULES_AND_KEEPS:
                     once = induced_rule(make(), sp, spec)
                     pushed = induced_rule(once, first.folded_space, second.spec)
-                    assert pushed.windows == (first, second)
                     for a, b in _event_pairs(second.folded_space, 4, seed=len(spec.k_sites)):
-                        up_a = first.extend_event(second.extend_event(a))
-                        up_b = first.extend_event(second.extend_event(b))
+                        up_a = extend_event(first, extend_event(second, a))
+                        up_b = extend_event(first, extend_event(second, b))
                         unfolded = brute_box(up_a, up_b, keep)
                         expect = second.slice_event(first.slice_event(unfolded))
                         assert box_with_rule(a, b, pushed) == expect
+
+    @pytest.mark.parametrize("sp", ORACLE_SPACES[2:], ids=ORACLE_IDS[2:])
+    def test_pushed_rules_select_the_cut_pairs_of_the_extended_events(self, sp):
+        checked = {1: 0, 2: 0}
+        for spec in _first_fold_specs(sp):
+            first = fold_window(sp, spec)
+            if _keeps_a_wide_site(sp, first):
+                continue
+            seconds = [()] + [(w,) for w in _extension_folds(first.folded_space)][:2]
+            for make, keep in RULES_AND_KEEPS:
+                once = induced_rule(make(), sp, spec)
+                for rest in seconds:
+                    pushed = induced_rule(once, first.folded_space, rest[0].spec) if rest else once
+                    windows = (first,) + rest
+                    space = windows[-1].folded_space
+                    for a, b in _event_pairs(space, 4, seed=len(spec.k_sites) + len(rest)):
+                        for w in space.iter_configs():
+                            expect = brute_pushed_select(windows, keep, a, b, w)
+                            assert pushed.select(a, b, w) == expect
+                            checked[len(windows)] += bool(expect)
+        assert checked[1] > 0 and checked[2] > 0
 
     def test_pushing_raises_exactly_where_a_three_symbol_site_survives(self):
         sp = ORACLE_SPACES[-1]
@@ -257,6 +279,14 @@ class TestSpaceChecks:
             with pytest.raises(SpaceMismatch):
                 pushed.select(a, b, sp.config_at(0))
 
+    def test_a_pushed_rule_is_pushed_through_folds_of_its_folded_space_only(self):
+        sp3 = binary(3)
+        pushed = induced_rule(full_rule(), sp3, FoldSpec((1,), (0,)))
+        with pytest.raises(SpaceMismatch):
+            induced_rule(pushed, sp3, FoldSpec((2,), (1,)))
+        twice = induced_rule(pushed, pushed.space, FoldSpec((2,), (1,)))
+        assert twice.space == SiteSpace.binary((3,))
+
     def test_mixed_site_ids_fold_and_box(self):
         sp = SiteSpace((1, "a", (2, 3)), ((0, 1),) * 3)
         m = normalize(sp, [1, 2, 3, 4, 5, 6, 7, 9])
@@ -270,7 +300,7 @@ class TestSpaceChecks:
         pushed = induced_rule(increasing_only_rule(), sp, spec)
         window = fold_window(sp, spec)
         for a, b in _event_pairs(folded.space, 16, seed=6):
-            expect = brute_box(window.extend_event(a), window.extend_event(b), keep)
+            expect = brute_box(extend_event(window, a), extend_event(window, b), keep)
             assert box_with_rule(a, b, pushed) == window.slice_event(expect)
 
 

@@ -154,7 +154,7 @@ def is_fkg_via_foldings(p: Measure) -> AssociationReport:
     return AssociationReport(True, None, {"foldings": checked})
 
 
-def is_pa(p: Measure, cap: int = UPSET_CAP) -> AssociationReport:
+def is_pa(p: Measure) -> AssociationReport:
     """P(A and B) >= P(A) P(B) over all pairs of increasing events.
 
     With weights ``nums`` over ``den`` and w(E) the weight of E, a pair
@@ -168,7 +168,7 @@ def is_pa(p: Measure, cap: int = UPSET_CAP) -> AssociationReport:
     """
     _require_binary(p.space, "positive association")
     n = p.space.n
-    _require_cap(n, min(cap, UPSET_CAP))
+    _require_cap(n, UPSET_CAP)
     ups = _upset_masks(n)
     nums, den = p.int_weights
     size = p.space.size
@@ -226,7 +226,7 @@ def _lifted_upsets(n: int, nmask: int) -> tuple[int, ...]:
     return tuple(lifted)
 
 
-def is_na(p: Measure, cap: int = UPSET_CAP) -> AssociationReport:
+def is_na(p: Measure) -> AssociationReport:
     """P(A and B) <= P(A) P(B) for increasing pairs with disjoint support.
 
     A pair has disjoint support when, for some coordinate set N, every
@@ -238,7 +238,7 @@ def is_na(p: Measure, cap: int = UPSET_CAP) -> AssociationReport:
     """
     _require_binary(p.space, "negative association")
     n = p.space.n
-    _require_cap(n, min(cap, UPSET_CAP))
+    _require_cap(n, UPSET_CAP)
     nums, den = p.int_weights
     wsum = weight_summer(nums, p.space.size)
     full = (1 << n) - 1
@@ -540,12 +540,10 @@ class ExchangeableLevels:
     @classmethod
     def from_weights(cls, n: int, weights: Sequence) -> "ExchangeableLevels":
         ws = [as_fraction(w) for w in weights]
-        if len(ws) != n + 1:
-            raise InvalidParams("need one level weight per occupation number 0..n")
         total = sum(comb(n, k) * w for k, w in enumerate(ws))
         if total == 0:
             raise InvalidParams("level weights are all zero")
-        return cls(n, tuple(w / total for w in ws))
+        return cls(n, tuple(w / abs(total) for w in ws))  # keeps signs for __post_init__
 
 
 def exchangeable_from_levels(levels: ExchangeableLevels) -> Measure:
@@ -554,10 +552,15 @@ def exchangeable_from_levels(levels: ExchangeableLevels) -> Measure:
     return Measure(space, tuple(levels.p[i.bit_count()] for i in range(space.size)))
 
 
+def _ulc_weights(p: Sequence) -> bool:
+    """Ultra log concavity, p_{k+1} p_{k-1} <= p_k^2 at every interior k; a
+    positive common factor keeps it, so raw level weights decide it."""
+    return all(p[k + 1] * p[k - 1] <= p[k] ** 2 for k in range(1, len(p) - 1))
+
+
 def is_ulc(levels: ExchangeableLevels) -> bool:
-    """Ultra log concavity: p_{k+1} p_{k-1} <= p_k^2 at every interior k."""
-    p = levels.p
-    return all(p[k + 1] * p[k - 1] <= p[k] ** 2 for k in range(1, levels.n))
+    """Ultra log concavity of the level weights."""
+    return _ulc_weights(levels.p)
 
 
 def levels_from_measure(p: Measure) -> ExchangeableLevels | None:
@@ -565,11 +568,7 @@ def levels_from_measure(p: Measure) -> ExchangeableLevels | None:
     if not p.space.is_binary:
         return None
     n = p.space.n
-    levels: list[Fraction | None] = [None] * (n + 1)
-    for i, w in enumerate(p.weights):
-        k = i.bit_count()
-        if levels[k] is None:
-            levels[k] = w
-        elif levels[k] != w:
-            return None
-    return ExchangeableLevels(n, tuple(levels))
+    levels = tuple(p.weights[(1 << k) - 1] for k in range(n + 1))  # k ones
+    if any(w != levels[i.bit_count()] for i, w in enumerate(p.weights)):
+        return None
+    return ExchangeableLevels(n, levels)

@@ -4,18 +4,26 @@ Subcommands mirror the library: ``gen`` writes measure files, ``fold`` and
 ``limit`` run the folding transform, ``rcr`` verifies and constructs
 cluster bases, ``occurrence`` runs box operations and the two occurrence
 bounds, ``check`` and ``pipeline`` run the association machinery, and
-``suite`` runs a named reproducible batch. Exit status is 0 when the
-requested verdict holds, 1 when it fails, 2 on a usage error and 3 when a
-theorem-level self-check of the library fails (``InvariantViolated``, a
-library bug). Usage errors include an input file that cannot be opened or
-parsed (a rational with a zero denominator included), an ``--out`` file
-that cannot be written, a non-integer RCFOLD_SEED, RCFOLD_JOBS or
-RCFOLD_CAP_SITES, a ``gen`` number or ``--eps`` that does not parse, and
-a suite ``--instances`` or ``--only`` that is negative or names no row. Flags
-fall back to RCFOLD_* environment variables (RCFOLD_SEED, RCFOLD_JOBS,
-RCFOLD_OUT, RCFOLD_CAP_SITES).
-``--cap-sites`` caps the site count of every ``gen`` kind that takes
-``--sites``, and can lower but not raise the 5-site cap of ``check pa|na``.
+``suite`` runs a named reproducible batch. Each command takes only the
+shared options it reads, after its name, and each option falls back to an
+environment variable that only those commands read:
+
+- ``--out`` (RCFOLD_OUT): every command; without it the output goes to stdout;
+- ``--seed`` (RCFOLD_SEED, default 7): ``gen random_fkg|random_nfkg`` and ``suite``;
+- ``--jobs`` (RCFOLD_JOBS, default 1): ``suite``;
+- ``--cap-sites`` (RCFOLD_CAP_SITES, default 5): the ``gen`` kinds that take
+  ``--sites`` (all but ``ising``), and ``check pa|na``, whose 5-site cap it
+  can lower but not raise.
+
+Exit status is 0 when the requested verdict holds, 1 when it fails, 2 on a
+usage error and 3 when a theorem-level self-check of the library fails
+(``InvariantViolated``, a library bug). Usage errors include an option the
+command does not take, an input file that cannot be opened or parsed (a
+rational with a zero denominator included), an ``--out`` file that cannot
+be written, an integer option or its variable that is not an integer, a
+``gen`` number or ``--edges`` item that does not parse, an ``--eps`` that
+does not parse or is negative, and a suite ``--instances`` or ``--only``
+that is negative or names no row.
 """
 from __future__ import annotations
 
@@ -55,27 +63,14 @@ from .occurrence import (
 from .rcr import construct_uniform_symmetric_rcr, ising_build, ising_measure, verify_rcr
 from .serialize import (
     base_from_json,
-    base_to_json,
     dumps_canonical,
     event_from_json,
-    event_to_json,
     ising_from_json,
     ising_to_json,
-    jsonable,
-    limit_to_json,
     measure_from_json,
-    measure_to_json,
     path_from_json,
 )
 from .suites import SUITES, RunConfig, run_suite
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        raise InvalidParams(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _read(path: str, parse, *args):
@@ -94,8 +89,9 @@ def _read(path: str, parse, *args):
 
 
 def _emit(obj, out: str | None) -> None:
-    """Write canonical JSON to the ``--out`` file, or to stdout without one;
-    a file that cannot be written is a usage error."""
+    """Write ``obj`` as canonical JSON (``dumps_canonical``, which converts
+    package objects) to the ``--out`` file, or to stdout without one; a file
+    that cannot be written is a usage error."""
     text = dumps_canonical(obj)
     if not out:
         sys.stdout.write(text)
@@ -116,17 +112,17 @@ def _number(text: str, flag: str) -> Fraction:
 
 
 def _parse_edges(text: str):
-    """Edge list syntax: '1-2:2,2-3:5/2' (weight defaults to 2)."""
+    """Edge list syntax: '1-2:2,2-3:5/2'. Each item is U-V or U-V:W, with
+    nonempty vertices U and V and the weight W defaulting to 2."""
     edges = []
     for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        uv, _, x = part.partition(":")
-        u, _, v = uv.partition("-")
-        weight = _number(x, "--edges") if x else Fraction(2)
-        u, v = u.strip(), v.strip()
-        edges.append((int(u) if u.isdigit() else u, int(v) if v.isdigit() else v, weight))
+        uv, colon, x = part.partition(":")
+        ends = [e.strip() for e in uv.split("-")]
+        if len(ends) != 2 or not all(ends):
+            raise InvalidParams(f"--edges: {part.strip()!r} is not U-V or U-V:W")
+        weight = _number(x, "--edges") if colon else Fraction(2)
+        u, v = (int(e) if e.isdigit() else e for e in ends)
+        edges.append((u, v, weight))
     return edges
 
 
@@ -145,21 +141,21 @@ def _cmd_gen(args) -> int:
         measure = random_nfkg_measure(args.sites, args.seed)
     else:  # uniform_subset
         measure = uniform_subset_measure(args.sites, args.configs.split(","))
-    _emit(measure_to_json(measure), args.out)
+    _emit(measure, args.out)
     return 0
 
 
 def _cmd_fold(args) -> int:
     measure = _read(args.measure, measure_from_json)
     path = _read(args.path, path_from_json)
-    _emit(measure_to_json(fold_path(measure, path)), args.out)
+    _emit(fold_path(measure, path), args.out)
     return 0
 
 
 def _cmd_limit(args) -> int:
     measure = _read(args.measure, measure_from_json)
     path = _read(args.path, path_from_json)
-    _emit(limit_to_json(branch_limit(measure, path)), args.out)
+    _emit(branch_limit(measure, path), args.out)
     return 0
 
 
@@ -168,23 +164,14 @@ def _cmd_rcr(args) -> int:
         measure = _read(args.measure, measure_from_json)
         base = _read(args.base, base_from_json)
         check = verify_rcr(measure, base, _number(args.eps, "--eps"))
-        _emit({"max_dev": check.max_dev, "ok": check.ok}, args.out)
+        _emit(check, args.out)  # max_dev, ok
         return 0 if check.ok else 1
     if args.rcr_cmd == "construct":
-        event = _read(args.event, event_from_json)
-        base = construct_uniform_symmetric_rcr(event)
-        _emit(base_to_json(base), args.out)
+        _emit(construct_uniform_symmetric_rcr(_read(args.event, event_from_json)), args.out)
         return 0
     spec = _read(args.spec, ising_from_json)  # rcr ising
     build = ising_build(spec)
-    _emit(
-        {
-            "measure": measure_to_json(build.measure),
-            "base": base_to_json(build.base),
-            "spec": ising_to_json(spec),
-        },
-        args.out,
-    )
+    _emit({"measure": build.measure, "base": build.base, "spec": ising_to_json(spec)}, args.out)
     return 0
 
 
@@ -194,70 +181,48 @@ def _cmd_occurrence(args) -> int:
     b = _read(args.b, event_from_json, a.space)
     rule = rule_by_name(args.rule)
     if args.occ_cmd == "box":
-        _emit(event_to_json(box_with_rule(a, b, rule)), args.out)
+        _emit(box_with_rule(a, b, rule), args.out)
         return 0
     eps = _number(args.eps, "--eps")
     if args.occ_cmd == "check-232":
         base = _read(args.base, base_from_json)
         rep = check_disjoint_cluster_bound(measure, base, rule, a, b, eps)
-        _emit(jsonable(rep), args.out)
+        _emit(rep, args.out)
         return 0 if rep.ok else 1
     rep = check_folding_hypothesis_bound(measure, rule, a, b, eps)  # check-233
-    _emit(jsonable(rep), args.out)
+    _emit(rep, args.out)
     return 0 if rep.consistent else 1
-
-
-_CHECKS = {
-    "fkg": is_fkg,
-    "pa": is_pa,
-    "na": is_na,
-    "nfkg": is_nfkg,
-    "snfkg": is_snfkg,
-}
 
 
 def _cmd_check(args) -> int:
     measure = _read(args.measure, measure_from_json)
-    if args.predicate == "ulc":
-        levels = levels_from_measure(measure)
-        verdict = levels is not None and is_ulc(levels)
-        report = {
-            "verdict": verdict,
-            "exchangeable": levels is not None,
-            "levels": [w for w in levels.p] if levels else None,
-        }
-    else:
-        fn = _CHECKS[args.predicate]
-        if args.predicate in ("pa", "na"):
-            rep = fn(measure, cap=args.cap_sites)
-        else:
-            rep = fn(measure)
-        report = {
-            "verdict": rep.verdict,
-            "witness": rep.witness,
-            "quantifier_log": rep.quantifier_log,
-        }
-    _emit(jsonable(report), args.out)
-    return 0 if report["verdict"] else 1
+    if "cap_sites" in args and measure.space.n > args.cap_sites:  # check pa|na
+        raise CapExceeded(f"|sites|={measure.space.n} exceeds cap {args.cap_sites}")
+    rep = args.check(measure)
+    _emit(rep, args.out)  # verdict, witness, quantifier_log
+    return 0 if rep.verdict else 1
+
+
+def _cmd_ulc(args) -> int:
+    levels = levels_from_measure(_read(args.measure, measure_from_json))
+    verdict = levels is not None and is_ulc(levels)
+    report = {
+        "verdict": verdict,
+        "exchangeable": levels is not None,
+        "levels": list(levels.p) if levels else None,
+    }
+    _emit(report, args.out)
+    return 0 if verdict else 1
 
 
 def _cmd_pipeline(args) -> int:
-    measure = _read(args.measure, measure_from_json)
-    if args.pipeline == "fkg-theorem":
-        rep = fkg_theorem_pipeline(measure)
-    else:
-        rep = snfkg_limit_rcr(measure)
-    _emit(jsonable(rep), args.out)
+    rep = args.pipeline(_read(args.measure, measure_from_json))
+    _emit(rep, args.out)
     return 0 if rep.ok else 1
 
 
 def _cmd_suite(args) -> int:
-    cfg = RunConfig(
-        seed=args.seed,
-        jobs=args.jobs,
-        instances=args.instances,
-        only=args.only,
-    )
+    cfg = RunConfig(seed=args.seed, jobs=args.jobs, instances=args.instances, only=args.only)
     t0 = time.monotonic()
     report = run_suite(args.name, cfg)
     count, elapsed = len(report["instances"]), time.monotonic() - t0
@@ -266,97 +231,115 @@ def _cmd_suite(args) -> int:
     return 0 if report["ok"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors: one ``error:`` line
+    and exit 2, like every other malformed input."""
+
+    def error(self, message):
+        raise InvalidParams(f"{self.prog}: {message}")
+
+
+def _option(flag: str, env: str, default, type=str) -> argparse.ArgumentParser:
+    """A one-option parent parser: ``flag``, else ``$env``, else ``default``.
+
+    argparse converts a string default with ``type`` only in a parser that
+    owns the option, so a malformed ``$env`` is an error of exactly the
+    commands that take ``flag``."""
+
+    def convert(text):
+        try:
+            return type(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r} (from the option or {env})")
+
+    parent = _Parser(add_help=False)
+    help = f"default: ${env}, else {default or 'stdout'}"
+    parent.add_argument(flag, type=convert, default=os.environ.get(env) or default, help=help)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    out = _option("--out", "RCFOLD_OUT", None)
+    seed = _option("--seed", "RCFOLD_SEED", 7, int)
+    jobs = _option("--jobs", "RCFOLD_JOBS", 1, int)
+    cap = _option("--cap-sites", "RCFOLD_CAP_SITES", 5, int)
+    sites = _Parser(add_help=False)
+    sites.add_argument("--sites", type=int, default=3)
+
+    def leaf(group, name, fn, *parents, help=None, **defaults):
+        p = group.add_parser(name, parents=[out, *parents], help=help)
+        p.set_defaults(fn=fn, **defaults)
+        return p
+
+    def group(parent, name, dest, **kwargs):
+        return parent.add_parser(name, **kwargs).add_subparsers(dest=dest, required=True)
+
+    parser = _Parser(
         prog="rcfold",
         description="Exact folding, cluster-base, and association checks on finite product spaces.",
     )
-    parser.add_argument("--seed", type=int, default=_env_int("RCFOLD_SEED", 7))
-    parser.add_argument("--jobs", type=int, default=_env_int("RCFOLD_JOBS", 1))
-    parser.add_argument("--cap-sites", type=int, default=_env_int("RCFOLD_CAP_SITES", 5))
-    parser.add_argument("--out", default=os.environ.get("RCFOLD_OUT") or None)
-
-    # the shared flags are also accepted after the subcommand; SUPPRESS keeps
-    # a pre-subcommand value from being clobbered by the sub-level default
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--cap-sites", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--out", default=argparse.SUPPRESS)
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a measure file")
-    p.add_argument("kind", choices=["ising", "exchangeable", "random_fkg", "random_nfkg", "uniform_subset"])
-    p.add_argument("--sites", type=int, default=3)
+    gen = group(sub, "gen", "kind", help="generate a measure file")
+    p = leaf(gen, "ising", _cmd_gen)
     p.add_argument("--edges", default="1-2:2", help="edge list, e.g. 1-2:2,2-3:5/2")
+    p = leaf(gen, "exchangeable", _cmd_gen, cap, sites)
     p.add_argument("--levels", default="1,2,1", help="per-level weights, e.g. 1,2,1")
+    leaf(gen, "random_fkg", _cmd_gen, cap, sites, seed)
+    leaf(gen, "random_nfkg", _cmd_gen, cap, sites, seed)
+    p = leaf(gen, "uniform_subset", _cmd_gen, cap, sites)
     p.add_argument("--configs", default="", help="comma-separated 0/1 strings")
-    p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("fold", parents=[common], help="apply a fold path to a measure")
+    p = leaf(sub, "fold", _cmd_fold, help="apply a fold path to a measure")
     p.add_argument("measure")
     p.add_argument("path")
-    p.set_defaults(fn=_cmd_fold)
-
-    p = sub.add_parser("limit", parents=[common], help="branch limit after an essential prefix")
+    p = leaf(sub, "limit", _cmd_limit, help="branch limit after an essential prefix")
     p.add_argument("measure")
     p.add_argument("path")
-    p.set_defaults(fn=_cmd_limit)
 
-    p = sub.add_parser("rcr", help="cluster-base operations")
-    rsub = p.add_subparsers(dest="rcr_cmd", required=True)
-    q = rsub.add_parser("verify", parents=[common])
-    q.add_argument("measure")
-    q.add_argument("base")
-    q.add_argument("--eps", default="0")
-    q.set_defaults(fn=_cmd_rcr)
-    q = rsub.add_parser("construct", parents=[common])
-    q.add_argument("event")
-    q.set_defaults(fn=_cmd_rcr)
-    q = rsub.add_parser("ising", parents=[common])
-    q.add_argument("spec")
-    q.set_defaults(fn=_cmd_rcr)
-
-    p = sub.add_parser("occurrence", help="box operations and occurrence bounds")
-    osub = p.add_subparsers(dest="occ_cmd", required=True)
-    q = osub.add_parser("box", parents=[common])
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q.add_argument("--rule", default="full")
-    q.add_argument("--measure")
-    q.set_defaults(fn=_cmd_occurrence)
-    q = osub.add_parser("check-232", parents=[common])
-    q.add_argument("--measure", required=True)
-    q.add_argument("--base", required=True)
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q.add_argument("--rule", default="increasing_decreasing")
-    q.add_argument("--eps", default="0")
-    q.set_defaults(fn=_cmd_occurrence)
-    q = osub.add_parser("check-233", parents=[common])
-    q.add_argument("--measure", required=True)
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q.add_argument("--rule", default="full")
-    q.add_argument("--eps", default="0")
-    q.set_defaults(fn=_cmd_occurrence)
-
-    p = sub.add_parser("check", parents=[common], help="association predicates")
-    p.add_argument("predicate", choices=["fkg", "pa", "na", "nfkg", "snfkg", "ulc"])
+    rcr = group(sub, "rcr", "rcr_cmd", help="cluster-base operations")
+    p = leaf(rcr, "verify", _cmd_rcr)
     p.add_argument("measure")
-    p.set_defaults(fn=_cmd_check)
+    p.add_argument("base")
+    p.add_argument("--eps", default="0")
+    leaf(rcr, "construct", _cmd_rcr).add_argument("event")
+    leaf(rcr, "ising", _cmd_rcr).add_argument("spec")
 
-    p = sub.add_parser("pipeline", parents=[common], help="end-to-end association pipelines")
-    p.add_argument("pipeline", choices=["fkg-theorem", "snfkg-rcr"])
-    p.add_argument("measure")
-    p.set_defaults(fn=_cmd_pipeline)
+    occ = group(sub, "occurrence", "occ_cmd", help="box operations and occurrence bounds")
+    p = leaf(occ, "box", _cmd_occurrence)
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
+    p.add_argument("--rule", default="full")
+    p.add_argument("--measure")
+    p = leaf(occ, "check-232", _cmd_occurrence)
+    p.add_argument("--measure", required=True)
+    p.add_argument("--base", required=True)
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
+    p.add_argument("--rule", default="increasing_decreasing")
+    p.add_argument("--eps", default="0")
+    p = leaf(occ, "check-233", _cmd_occurrence)
+    p.add_argument("--measure", required=True)
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
+    p.add_argument("--rule", default="full")
+    p.add_argument("--eps", default="0")
 
-    p = sub.add_parser("suite", parents=[common], help="run a reproducible verification suite")
+    check = group(sub, "check", "predicate", help="association predicates")
+    for name, fn in (("fkg", is_fkg), ("nfkg", is_nfkg), ("snfkg", is_snfkg)):
+        leaf(check, name, _cmd_check, check=fn).add_argument("measure")
+    for name, fn in (("pa", is_pa), ("na", is_na)):
+        leaf(check, name, _cmd_check, cap, check=fn).add_argument("measure")
+    leaf(check, "ulc", _cmd_ulc).add_argument("measure")
+
+    pipelines = group(sub, "pipeline", "name", help="end-to-end association pipelines")
+    for name, fn in (("fkg-theorem", fkg_theorem_pipeline), ("snfkg-rcr", snfkg_limit_rcr)):
+        leaf(pipelines, name, _cmd_pipeline, pipeline=fn).add_argument("measure")
+
+    p = leaf(sub, "suite", _cmd_suite, seed, jobs, help="run a reproducible verification suite")
     p.add_argument("name", choices=sorted(SUITES))
     p.add_argument("--instances", type=int, default=None)
     p.add_argument("--only", type=int, default=None)
-    p.set_defaults(fn=_cmd_suite)
 
     return parser
 

@@ -53,6 +53,14 @@ def as_fraction(x) -> Fraction:
     raise InvalidParams(f"not an exact rational: {x!r}")
 
 
+def _tolerance(eps) -> Fraction:
+    """A check's tolerance: an exact rational that is not negative."""
+    eps = as_fraction(eps)
+    if eps < 0:
+        raise InvalidParams(f"a tolerance must not be negative, got {eps}")
+    return eps
+
+
 @dataclass(frozen=True)
 class SiteSpace:
     """An ordered finite product space: sites and one ordered alphabet each.
@@ -149,6 +157,13 @@ class SiteSpace:
             repeat = full // ((1 << (r * w)) - 1)
             out.append(tuple((((1 << w) - 1) << (v * w)) * repeat for v in range(r)))
         return tuple(out)
+
+    @cached_property
+    def agree_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Entry [u][v]: the bitmask of configuration indices with equal value
+        indices at positions u and v, a union of value-mask intersections."""
+        vm = self.value_masks
+        return tuple(tuple(sum(x & y for x, y in zip(a, b)) for b in vm) for a in vm)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .measures import (
     Measure,
     SiteSpace,
     _cylinder_table,
-    as_fraction,
+    _tolerance,
     weight_summer,
 )
 from .rcr import RcrBase, predicates, verify_rcr
@@ -316,6 +316,7 @@ def check_disjoint_cluster_bound(
         raise SpaceMismatch("measure and base on different spaces")
     if not predicates(base).symmetric:
         raise PreconditionFailed("base is not symmetric")
+    eps = _tolerance(eps)
 
     boxed = box_with_rule(a, b, rule)
     kept = rule._kept(a, b)
@@ -330,7 +331,6 @@ def check_disjoint_cluster_bound(
                     f" at {p.space.config_at(i)}"
                 )
 
-    eps = as_fraction(eps)
     check = verify_rcr(p, base, eps)
     lhs = p.prob(boxed)
     rhs = p.prob(a & b.bar())
@@ -380,7 +380,7 @@ def check_folding_hypothesis_bound(
         raise NonBinaryAlphabet("the folding hypothesis check is stated on binary spaces")
     if a.space != p.space or b.space != p.space:
         raise SpaceMismatch("events and measure on different spaces")
-    eps = as_fraction(eps)
+    eps = _tolerance(eps)
 
     failures = []
     checked = 0

@@ -40,6 +40,7 @@ from .measures import (
     Measure,
     SiteSpace,
     _cylinder_mask,
+    _tolerance,
     as_fraction,
     normalize,
     sup_distance,
@@ -211,12 +212,6 @@ def _compatible_mask(eta: BondStateAssignment) -> int:
     return out
 
 
-def _agree_mask(space: SiteSpace, u: int, v: int) -> int:
-    """Bitmask of the configuration indices with equal values at positions
-    u and v: the union of the (disjoint) value-mask intersections."""
-    return sum(a & b for a, b in zip(space.value_masks[u], space.value_masks[v]))
-
-
 def induced_measure(base: RcrBase) -> Measure:
     """The measure represented by a base, normalized over all configurations."""
     return base.measure
@@ -230,10 +225,11 @@ class RcrCheck:
 
 def verify_rcr(p: Measure, base: RcrBase, eps: Fraction | int = 0) -> RcrCheck:
     """Exact sup-norm deviation between p and the base's induced measure."""
+    eps = _tolerance(eps)
     if p.space != base.structure.space:
         raise SpaceMismatch("measure and base on different spaces")
     dev = sup_distance(p, base.measure)
-    return RcrCheck(dev, dev <= as_fraction(eps))
+    return RcrCheck(dev, dev <= eps)
 
 
 def clusters(eta: BondStateAssignment) -> tuple[frozenset, ...]:
@@ -335,7 +331,7 @@ def construct_uniform_symmetric_rcr(d: Event) -> RcrBase:
     struct = HyperbondStructure.all_pairs(space)
     states = []
     for i, (pu, pv) in enumerate(struct.bond_positions):
-        if not d.mask & ~_agree_mask(space, pu, pv):
+        if not d.mask & ~space.agree_masks[pu][pv]:
             states.append(frozenset({(0, 0), (1, 1)}))
         else:
             states.append(struct.full_state(i))
@@ -365,8 +361,9 @@ def check_sublattice(lattice: Event) -> SublatticeFlags:
         raise NonBinaryAlphabet("sublattice flags are defined on binary spaces")
     sub = _join_meet_closed(lattice)
     sym = lattice.bar() == lattice
+    agree = space.agree_masks
     separates = bool(lattice.mask) and all(
-        lattice.mask & ~_agree_mask(space, i, j) for i, j in combinations(range(space.n), 2)
+        lattice.mask & ~agree[i][j] for i, j in combinations(range(space.n), 2)
     )
     full = lattice.mask == (1 << space.size) - 1
     if sub and sym and separates and not full:
@@ -473,7 +470,7 @@ def ising_measure(spec: IsingSpec) -> Measure:
     space = spec.space
     pos = space.site_pos
     fields = spec.fields or tuple(Fraction(1) for _ in spec.vertices)
-    factors = [(_agree_mask(space, pos[u], pos[v]), x) for u, v, x in spec.edges]
+    factors = [(space.agree_masks[pos[u]][pos[v]], x) for u, v, x in spec.edges]
     factors += [(ones, f) for (_, ones), f in zip(space.value_masks, fields)]
     raw = [Fraction(1)] * space.size
     for mask, x in factors:

@@ -143,9 +143,13 @@ def base_from_json(obj: dict) -> RcrBase:
     struct = HyperbondStructure(space, tuple(tuple(b) for b in obj["bonds"]))
     atoms = []
     for atom in obj["atoms"]:
+        if len(atom["states"]) != len(struct.bonds):
+            raise InvalidParams("one state per bond required")
         states = []
-        for positions, rows in zip(struct.bond_positions, atom["states"]):
+        for bond, positions, rows in zip(struct.bonds, struct.bond_positions, atom["states"]):
             alphabets = [space.alphabets[p] for p in positions]
+            if any(len(row) != len(bond) for row in rows):
+                raise InvalidParams(f"each state row of bond {list(bond)} needs {len(bond)} symbols")
             state = frozenset(
                 tuple(alph.index(sym) for alph, sym in zip(alphabets, row))
                 for row in rows

@@ -16,15 +16,13 @@ from fractions import Fraction
 from itertools import combinations, product as iter_product
 
 from .association import (
-    ExchangeableLevels,
-    exchangeable_from_levels,
+    _ulc_weights,
     fkg_theorem_pipeline,
     is_fkg,
     is_fkg_via_foldings,
     is_na,
     is_nfkg,
     is_snfkg,
-    is_ulc,
     perturb,
     snfkg_limit_rcr,
 )
@@ -40,6 +38,7 @@ from .folding import (
 )
 from .generators import (
     binary_space,
+    exchangeable_measure,
     random_fkg_measure,
     random_measure,
     random_nfkg_measure,
@@ -265,11 +264,10 @@ def _ulc_chunk(n, start, chunk):
     ulc_count = 0
     failures = []
     for levels in chunk:
-        lv = ExchangeableLevels.from_weights(n, levels)
-        if not is_ulc(lv):
+        if not _ulc_weights(levels):
             continue
         ulc_count += 1
-        if not is_na(exchangeable_from_levels(lv)).verdict:
+        if not is_na(exchangeable_measure(n, levels)).verdict:
             failures.append(list(levels))
     return {
         "kind": "ulc-na",

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -27,8 +28,8 @@ from rcfold import (
     sup_distance,
 )
 from rcfold import Event, association
-from rcfold.association import _distinct_limits
-from rcfold.errors import InvariantViolated
+from rcfold.association import _distinct_limits, _ulc_weights
+from rcfold.errors import InvalidParams, InvariantViolated
 from rcfold.folding import FoldingUndefined, _first_fold_specs
 from rcfold.generators import (
     random_fkg_measure,
@@ -530,6 +531,25 @@ class TestExchangeable:
         assert is_ulc(ExchangeableLevels.from_weights(2, (1, 2, 1)))
         assert is_ulc(ExchangeableLevels.from_weights(2, (1, 3, 1)))
         assert not is_ulc(ExchangeableLevels.from_weights(2, (4, 1, 4)))
+
+    def test_ulc_of_raw_weights_matches_the_normalised_levels(self):
+        vectors = list(product(range(1, 5), repeat=4))
+        assert len(vectors) == 256
+        for w in vectors:
+            assert _ulc_weights(w) == is_ulc(ExchangeableLevels.from_weights(3, w)), w
+
+    @pytest.mark.parametrize(
+        "n, weights, message",
+        [
+            (2, (1, 1), "need one level weight per occupation number 0..n"),
+            (1, (1, -2), "level weights must be nonnegative"),
+            (1, (-1, -1), "level weights must be nonnegative"),
+            (1, (0, 0), "level weights are all zero"),
+        ],
+    )
+    def test_from_weights_rejects_bad_levels(self, n, weights, message):
+        with pytest.raises(InvalidParams, match=message):
+            ExchangeableLevels.from_weights(n, weights)
 
     def test_ulc_implies_nfkg_and_na(self):
         m = exchangeable_from_levels(ExchangeableLevels.from_weights(2, (1, 3, 1)))

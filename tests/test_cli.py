@@ -1,10 +1,11 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from rcfold.cli import main
+from rcfold.cli import build_parser, main
 from rcfold.serialize import base_to_json, dumps_canonical, measure_to_json
 from rcfold.suites import RunConfig, run_suite, render_report
 from rcfold.generators import binary_space
@@ -45,8 +46,8 @@ class TestGen:
         assert json.loads(out)["weights"] == ["1/2", "0/1", "0/1", "1/2"]
 
     def test_random_kinds_deterministic(self, capsys):
-        code1, out1 = run_cli(["--seed", "3", "gen", "random_fkg", "--sites", "3"], capsys)
-        code2, out2 = run_cli(["--seed", "3", "gen", "random_fkg", "--sites", "3"], capsys)
+        code1, out1 = run_cli(["gen", "random_fkg", "--sites", "3", "--seed", "3"], capsys)
+        code2, out2 = run_cli(["gen", "random_fkg", "--sites", "3", "--seed", "3"], capsys)
         assert code1 == code2 == 0 and out1 == out2
 
     def test_random_kinds_pass_their_checks(self, tmp_path, capsys):
@@ -259,7 +260,9 @@ class TestOccurrenceCommands:
         code, out = run_cli(args + ["--rule", "increasing_only"], capsys)
         assert code == 0 and json.loads(out)["conclusion_ok"] is False
 
-    @pytest.mark.parametrize("eps", ["x", "1/0"], ids=["malformed", "zero-denominator"])
+    @pytest.mark.parametrize(
+        "eps", ["x", "1/0", "-1"], ids=["malformed", "zero-denominator", "negative"]
+    )
     @pytest.mark.parametrize("command", ["rcr-verify", "check-232", "check-233"])
     def test_bad_eps_is_usage_error(self, command, eps, tmp_path, capsys):
         spec = {"vertices": [1, 2], "edges": [[1, 2, "2/1"]], "fields": None}
@@ -337,6 +340,15 @@ class TestCheckAndPipeline:
         argv = ["rcr", "verify", measure, write_json(tmp_path, "b.json", base)]
         self.assert_one_line_error(argv, 2, capsys)
 
+    @pytest.mark.parametrize("row", [[0], [0, 0, 1]], ids=["short", "long"])
+    def test_state_row_off_its_bond_is_usage_error(self, row, tmp_path, capsys):
+        build = ising_build(IsingSpec((1, 2), ((1, 2, 2),)))
+        base = base_to_json(build.base)
+        base["atoms"][0]["states"][0] = [[0, 0], row]
+        measure = write_json(tmp_path, "m.json", measure_to_json(build.measure))
+        argv = ["rcr", "verify", measure, write_json(tmp_path, "b.json", base)]
+        self.assert_one_line_error(argv, 2, capsys)
+
     def test_zero_denominator_edge_weight_is_usage_error(self, tmp_path, capsys):
         spec = {"vertices": [1, 2], "edges": [[1, 2, "2/0"]], "fields": None}
         argv = ["rcr", "ising", write_json(tmp_path, "spec.json", spec)]
@@ -386,10 +398,10 @@ class TestSuiteCommand:
         out_file = tmp_path / "report.json"
         code, _ = run_cli(
             [
-                "--seed",
-                "7",
                 "suite",
                 "bk-sanity",
+                "--seed",
+                "7",
                 "--instances",
                 "1",
                 "--out",
@@ -403,7 +415,7 @@ class TestSuiteCommand:
         assert report["suite"] == "bk-sanity"
 
     def test_suite_prints_its_wall_time_but_run_suite_does_not(self, capsys):
-        code = main(["--seed", "7", "suite", "bk-sanity", "--instances", "1"])
+        code = main(["suite", "bk-sanity", "--seed", "7", "--instances", "1"])
         assert code == 0
         assert capsys.readouterr().err.startswith("[bk-sanity] 2 instances in ")
         run_suite("bk-sanity", RunConfig(seed=7, jobs=1, instances=1))
@@ -433,10 +445,18 @@ class TestSuiteCommand:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("name", ["RCFOLD_SEED", "RCFOLD_JOBS", "RCFOLD_CAP_SITES"])
-    def test_non_integer_env_is_usage_error(self, name, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("RCFOLD_SEED", ["gen", "random_fkg", "--sites", "2"]),
+            ("RCFOLD_JOBS", ["suite", "bk-sanity"]),
+            ("RCFOLD_CAP_SITES", ["gen", "random_fkg", "--sites", "2"]),
+        ],
+        ids=["RCFOLD_SEED", "RCFOLD_JOBS", "RCFOLD_CAP_SITES"],
+    )
+    def test_non_integer_env_is_usage_error(self, name, args, capsys, monkeypatch):
         monkeypatch.setenv(name, "abc")
-        self.assert_one_error_line(["gen", "random_fkg", "--sites", "2"], capsys)
+        self.assert_one_error_line(args, capsys)
 
     def test_negative_instances_is_usage_error(self, capsys):
         self.assert_one_error_line(["suite", "bk-sanity", "--instances", "-3"], capsys)
@@ -450,8 +470,22 @@ class TestSuiteCommand:
             ["gen", "exchangeable", "--sites", "2", "--levels", "1,x"],
             ["gen", "exchangeable", "--sites", "2", "--levels", "1,1/0"],
             ["gen", "ising", "--edges", "1-2:x"],
+            ["gen", "ising", "--edges", "a"],
+            ["gen", "ising", "--edges", "1-2-3:2"],
+            ["gen", "ising", "--edges", "-2"],
+            ["gen", "ising", "--edges", ""],
+            ["gen", "exchangeable", "--sites", "2", "--levels=-1,-1,-1"],
         ],
-        ids=["levels", "zero-denominator", "edges"],
+        ids=[
+            "levels",
+            "zero-denominator",
+            "edges",
+            "no-dash",
+            "two-dashes",
+            "empty-vertex",
+            "no-edge",
+            "negative-levels",
+        ],
     )
     def test_malformed_gen_number_is_usage_error(self, args, capsys):
         self.assert_one_error_line(args, capsys)
@@ -464,16 +498,16 @@ class TestSuiteCommand:
         assert captured.err == "error: --sites 40 exceeds cap 5\n"
 
     def test_gen_sites_cap_is_the_cap_sites_flag(self, capsys):
-        code, out = run_cli(["--cap-sites", "6", "gen", "random_fkg", "--sites", "6"], capsys)
+        code, out = run_cli(["gen", "random_fkg", "--sites", "6", "--cap-sites", "6"], capsys)
         assert code == 0 and len(json.loads(out)["weights"]) == 64
 
     @pytest.mark.parametrize("predicate", ["pa", "na"])
     def test_cap_sites_cannot_raise_the_check_cap(self, predicate, tmp_path, capsys):
         gen = ["gen", "exchangeable", "--sites", "6", "--levels", "1,1,1,1,1,1,1"]
-        code, out = run_cli(["--cap-sites", "6"] + gen, capsys)
+        code, out = run_cli(gen + ["--cap-sites", "6"], capsys)
         assert code == 0
         path = write_json(tmp_path, "u6.json", out)
-        code = main(["--cap-sites", "6", "check", predicate, path])
+        code = main(["check", predicate, path, "--cap-sites", "6"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "error: |sites|=6 exceeds cap 5\n"
@@ -482,7 +516,7 @@ class TestSuiteCommand:
         monkeypatch.setenv("RCFOLD_SEED", "12")
         code, out = run_cli(["gen", "random_fkg", "--sites", "2"], capsys)
         monkeypatch.delenv("RCFOLD_SEED")
-        code2, out2 = run_cli(["--seed", "12", "gen", "random_fkg", "--sites", "2"], capsys)
+        code2, out2 = run_cli(["gen", "random_fkg", "--sites", "2", "--seed", "12"], capsys)
         assert out == out2
 
     def test_console_script_installed(self):
@@ -493,6 +527,104 @@ class TestSuiteCommand:
         )
         assert proc.returncode == 0
         assert "fkg-pa" in proc.stdout
+
+
+# The shared options and the gen kind options that each leaf command reads;
+# every leaf not named here reads --out alone.
+SHARED = ("--out", "--seed", "--jobs", "--cap-sites")
+GEN_OPTIONS = ("--sites", "--edges", "--levels", "--configs")
+READS = {
+    "gen ising": {"--out", "--edges"},
+    "gen exchangeable": {"--out", "--cap-sites", "--sites", "--levels"},
+    "gen random_fkg": {"--out", "--cap-sites", "--sites", "--seed"},
+    "gen random_nfkg": {"--out", "--cap-sites", "--sites", "--seed"},
+    "gen uniform_subset": {"--out", "--cap-sites", "--sites", "--configs"},
+    "check pa": {"--out", "--cap-sites"},
+    "check na": {"--out", "--cap-sites"},
+    "suite": {"--out", "--seed", "--jobs"},
+}
+
+
+def leaves(parser, argv=()):
+    """(argv, parser) per leaf command, each gen kind, check predicate and
+    pipeline a leaf; argv fills in the leaf's positionals and required options."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from leaves(child, argv + (name,))
+            return
+    filled = list(argv)
+    for action in parser._actions:
+        if not action.option_strings:
+            filled.append(next(iter(action.choices)) if action.choices else "in.json")
+        elif action.required:
+            filled += [action.option_strings[0], "in.json"]
+    yield filled, parser
+
+
+class TestOptions:
+    def test_each_command_takes_only_the_options_it_reads(self, capsys):
+        rejected = 0
+        for argv, leaf in leaves(build_parser()):
+            name = leaf.prog.removeprefix("rcfold ")
+            offered = set(SHARED + GEN_OPTIONS) if name.startswith("gen ") else set(SHARED)
+            takes = {s for action in leaf._actions for s in action.option_strings}
+            assert takes & offered == READS.get(name, {"--out"}), name
+            for option in sorted(offered - takes):
+                code = main(argv + [option, "1"])
+                captured = capsys.readouterr()
+                assert code == 2 and captured.out == "", (name, option)
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+                assert option in captured.err
+                rejected += 1
+        # every leaf took the four shared options and every gen kind the four
+        # kind options; these are the pairs it did not read
+        assert rejected == 69
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["gen"],
+            ["check", "fkg"],
+            ["check", "pa"],
+            ["check", "nope", "m.json"],
+            ["pipeline", "nope", "m.json"],
+            ["suite", "nope"],
+            ["gen", "random_fkg", "--sites", "x"],
+            ["--seed", "3", "gen", "random_fkg"],
+        ],
+        ids=[
+            "no-command",
+            "no-kind",
+            "missing-positional",
+            "missing-positional-capped",
+            "unknown-predicate",
+            "unknown-pipeline",
+            "unknown-suite",
+            "non-integer",
+            "option-before-command",
+        ],
+    )
+    def test_parse_errors_are_one_line(self, argv, capsys):
+        TestSuiteCommand.assert_one_error_line(argv, capsys)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["gen", "ising", "--help"], ["check", "pa", "-h"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: rcfold")
+
+    def test_a_variable_is_read_only_by_the_commands_taking_its_option(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        m = write_json(tmp_path, "m.json", measure_to_json(Measure.uniform(binary_space(2))))
+        for name in ("RCFOLD_SEED", "RCFOLD_JOBS", "RCFOLD_CAP_SITES"):
+            monkeypatch.setenv(name, "abc")
+        code, out = run_cli(["check", "fkg", m], capsys)
+        assert code == 0 and json.loads(out)["verdict"] is True
+        code, out = run_cli(["gen", "ising", "--edges", "1-2:2"], capsys)
+        assert code == 0
 
 
 class TestDeterminismSmoke:

@@ -176,6 +176,15 @@ class TestEvents:
                 assert sp.value_masks[p][v] == expect
 
     @pytest.mark.parametrize("sp", MIXED_SPACES, ids=MIXED_IDS)
+    def test_agree_masks_match_values_at(self, sp):
+        for u in range(sp.n):
+            for v in range(sp.n):
+                expect = sum(
+                    1 << i for i in range(sp.size) if sp.values_at(i)[u] == sp.values_at(i)[v]
+                )
+                assert sp.agree_masks[u][v] == expect
+
+    @pytest.mark.parametrize("sp", MIXED_SPACES, ids=MIXED_IDS)
     def test_cylinders_match_the_definition(self, sp):
         regions = [
             [s for q, s in enumerate(sp.sites) if k >> q & 1] for k in range(1 << sp.n)

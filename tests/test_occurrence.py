@@ -6,6 +6,7 @@ import pytest
 from rcfold import (
     Event,
     FoldSpec,
+    InvalidParams,
     Measure,
     NonBinaryAlphabet,
     PreconditionFailed,
@@ -532,7 +533,7 @@ class TestFoldingHypothesisBound:
                 for make, keep in RULES_AND_KEEPS[:2]:
                     rule = make()
                     spec, gap = max(fraction_fold_gaps(m, keep, a, b), key=lambda sg: sg[1])
-                    eps_values = [F(0), F(-1, 7)]
+                    eps_values = [F(0), F(1, 7)]
                     if gap > 0:
                         failing += 1
                         eps_values += [gap, gap - F(1, 10**6)]
@@ -544,6 +545,8 @@ class TestFoldingHypothesisBound:
                     if gap > 0:
                         assert spec not in reports[gap].hypothesis_failures
                         assert spec in reports[gap - F(1, 10**6)].hypothesis_failures
+                    with pytest.raises(InvalidParams):
+                        check_folding_hypothesis_bound(m, rule, a, b, F(-1, 7))
         assert failing >= 4
 
 

@@ -22,7 +22,6 @@ argmax set, however many limits share it. All arithmetic is exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -49,6 +48,7 @@ from .measures import (
     Event,
     GuardedFields,
     Measure,
+    Record,
     SiteSpace,
     _upset_masks,
     as_fraction,
@@ -64,8 +64,7 @@ from .rcr import (
 )
 
 
-@dataclass(frozen=True)
-class AssociationReport:
+class AssociationReport(Record):
     """Verdict of an exhaustive check, a witness when it fails, and counts."""
 
     verdict: bool
@@ -350,15 +349,13 @@ def is_snfkg(p: Measure) -> AssociationReport:
     return AssociationReport(True, None, log)
 
 
-@dataclass(frozen=True)
-class BranchFailure:
+class BranchFailure(Record):
     branch: str
     stage: str
     detail: str
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(Record):
     ok: bool
     branches: int
     distinct_limits: int
@@ -521,8 +518,7 @@ def perturb(p: Measure, eps: Fraction | int) -> Measure:
     return normalize(p.space, raw)
 
 
-@dataclass(frozen=True)
-class ExchangeableLevels:
+class ExchangeableLevels(Record):
     """Per-level weights of an exchangeable measure: P(w) = p_{|w|}."""
 
     n: int

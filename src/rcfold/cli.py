@@ -18,12 +18,12 @@ environment variable that only those commands read:
 Exit status is 0 when the requested verdict holds, 1 when it fails, 2 on a
 usage error and 3 when a theorem-level self-check of the library fails
 (``InvariantViolated``, a library bug). Usage errors include an option the
-command does not take, an input file that cannot be opened or parsed (a
-rational with a zero denominator included), an ``--out`` file that cannot
-be written, an integer option or its variable that is not an integer, a
-``gen`` number or ``--edges`` item that does not parse, an ``--eps`` that
-does not parse or is negative, and a suite ``--instances`` or ``--only``
-that is negative or names no row.
+command does not take or that comes before the command, an input file that
+cannot be opened or parsed (a rational with a zero denominator included),
+an ``--out`` file that cannot be written, an integer option or its variable
+that is not an integer, a ``gen`` number or ``--edges`` item that does not
+parse, an ``--eps`` that does not parse or is negative, and a suite
+``--instances`` or ``--only`` that is negative or names no row.
 """
 from __future__ import annotations
 
@@ -283,12 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen = group(sub, "gen", "kind", help="generate a measure file")
     p = leaf(gen, "ising", _cmd_gen)
     p.add_argument("--edges", default="1-2:2", help="edge list, e.g. 1-2:2,2-3:5/2")
-    p = leaf(gen, "exchangeable", _cmd_gen, cap, sites)
-    p.add_argument("--levels", default="1,2,1", help="per-level weights, e.g. 1,2,1")
+    p = leaf(gen, "exchangeable", _cmd_gen, cap)
+    p.add_argument("--sites", type=int, required=True)
+    p.add_argument("--levels", required=True, help="per-level weights, e.g. 1,2,1")
     leaf(gen, "random_fkg", _cmd_gen, cap, sites, seed)
     leaf(gen, "random_nfkg", _cmd_gen, cap, sites, seed)
     p = leaf(gen, "uniform_subset", _cmd_gen, cap, sites)
-    p.add_argument("--configs", default="", help="comma-separated 0/1 strings")
+    p.add_argument("--configs", required=True, help="comma-separated 0/1 strings")
 
     p = leaf(sub, "fold", _cmd_fold, help="apply a fold path to a measure")
     p.add_argument("measure")
@@ -345,7 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            flag = argv[0].partition("=")[0]
+            raise InvalidParams(f"rcfold: {flag} is before the command; options go after the command")
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except InvariantViolated as exc:

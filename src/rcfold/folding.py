@@ -32,7 +32,6 @@ branch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice, product as iter_product
@@ -42,6 +41,7 @@ from .errors import CapExceeded, FoldingUndefined, InvalidParams
 from .measures import (
     Event,
     Measure,
+    Record,
     SiteSpace,
     normalize,
     sup_distance,
@@ -50,8 +50,7 @@ from .measures import (
 BRANCH_CAP = 4
 
 
-@dataclass(frozen=True)
-class FoldSpec:
+class FoldSpec(Record):
     """One folding step.
 
     ``k_sites`` lists the conditioned sites and ``alpha`` their raw symbols
@@ -63,22 +62,23 @@ class FoldSpec:
 
     k_sites: tuple
     alpha: tuple
-    beta: tuple[tuple, ...] | None = None
+    beta: tuple[tuple, ...] | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "k_sites", tuple(self.k_sites))
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        if self.beta is not None:
-            b1, b2 = self.beta
-            object.__setattr__(self, "beta", (tuple(b1), tuple(b2)))
-        if len(self.k_sites) != len(self.alpha):
+    def __init__(self, k_sites, alpha, beta=None):
+        k_sites, alpha = tuple(k_sites), tuple(alpha)
+        if beta is not None:
+            b1, b2 = beta
+            beta = (tuple(b1), tuple(b2))
+        if len(k_sites) != len(alpha):
             raise InvalidParams("one alpha symbol per conditioned site required")
-        if len(set(self.k_sites)) != len(self.k_sites):
+        if len(set(k_sites)) != len(k_sites):
             raise InvalidParams("conditioned sites must be distinct")
+        object.__setattr__(self, "k_sites", k_sites)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
 
-@dataclass(frozen=True)
-class FoldPath:
+class FoldPath(Record):
     """An ordered sequence of folding steps.
 
     Each step's conditioned sites must lie inside the space remaining after
@@ -101,8 +101,7 @@ class FoldPath:
         return iter(self.steps)
 
 
-@dataclass(frozen=True)
-class BranchLimit:
+class BranchLimit(Record):
     """Limit data for a branch: its essential prefix then empty steps forever.
 
     The limit is uniform on ``argmax_set``, the maxima of the measure after
@@ -123,8 +122,7 @@ class BranchLimit:
         return Measure.uniform_on(self.argmax_set)
 
 
-@dataclass(frozen=True)
-class FoldWindow:
+class FoldWindow(Record):
     """A fold spec resolved against a concrete space: the fold's index map.
 
     ``lift[f]`` is the full-space index of folded configuration ``f``: alpha
@@ -142,6 +140,13 @@ class FoldWindow:
     folded_space: SiteSpace
     co_mask: int
     lift: tuple[int, ...]
+
+    def __init__(self, space, spec, folded_space, co_mask, lift):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "folded_space", folded_space)
+        object.__setattr__(self, "co_mask", co_mask)
+        object.__setattr__(self, "lift", lift)
 
     @classmethod
     def resolve(cls, space: SiteSpace, spec: FoldSpec) -> "FoldWindow":
@@ -279,8 +284,7 @@ def branch_limit(p: Measure, essential_prefix: FoldPath | Sequence[FoldSpec]) ->
     return _limit_from_nums(space, nums, max(len(steps), 1))
 
 
-@dataclass(frozen=True)
-class ConvergenceCheck:
+class ConvergenceCheck(Record):
     distance: Fraction
     bound: Fraction
     ok: bool

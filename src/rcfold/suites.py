@@ -11,7 +11,6 @@ byte-identical; ``rcfold suite`` prints the run's wall time to stderr.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 
@@ -44,7 +43,7 @@ from .generators import (
     random_nfkg_measure,
     random_product_measure,
 )
-from .measures import Event, Measure, enumerate_upsets
+from .measures import Event, Measure, Record, enumerate_upsets
 from .occurrence import (
     box_product_sweep,
     check_disjoint_cluster_bound,
@@ -66,8 +65,7 @@ from .rcr import (
 from .serialize import dumps_canonical, jsonable
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Knobs of a suite run; everything that affects the report is here."""
 
     seed: int = 7

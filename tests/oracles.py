@@ -4,6 +4,7 @@ Everything here is written as directly from the definitions as possible
 and stays ignorant of the library's internal shortcuts, except the few
 that keep a kernel's earlier, plainer loop as its reference.
 """
+import dataclasses
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product as iter_product
@@ -498,3 +499,12 @@ def is_increasing(event: Event) -> bool:
             if not i & w and not event.contains_index(i | w):
                 return False
     return True
+
+
+def dataclass_twin(cls) -> type:
+    """The frozen dataclass a value type stands in for: the same name and
+    fields, and identity equality where the type compares by identity."""
+    names = list(vars(cls)["__annotations__"])
+    return dataclasses.make_dataclass(
+        cls.__name__, names, frozen=True, eq=cls.__eq__ is not object.__eq__
+    )

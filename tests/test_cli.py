@@ -45,6 +45,22 @@ class TestGen:
         assert code == 0
         assert json.loads(out)["weights"] == ["1/2", "0/1", "0/1", "1/2"]
 
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["gen", "exchangeable"], "--sites, --levels"),
+            (["gen", "exchangeable", "--sites", "2"], "--levels"),
+            (["gen", "exchangeable", "--levels", "1,2,1"], "--sites"),
+            (["gen", "uniform_subset", "--sites", "2"], "--configs"),
+        ],
+    )
+    def test_kind_options_without_a_default_are_required(self, argv, missing, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        prog = " ".join(["rcfold"] + argv[:2])
+        assert captured.err == f"error: {prog}: the following arguments are required: {missing}\n"
+
     def test_random_kinds_deterministic(self, capsys):
         code1, out1 = run_cli(["gen", "random_fkg", "--sites", "3", "--seed", "3"], capsys)
         code2, out2 = run_cli(["gen", "random_fkg", "--sites", "3", "--seed", "3"], capsys)
@@ -492,7 +508,8 @@ class TestSuiteCommand:
 
     @pytest.mark.parametrize("kind", ["random_fkg", "random_nfkg", "exchangeable", "uniform_subset"])
     def test_gen_sites_over_the_cap_is_usage_error(self, kind, capsys):
-        code = main(["gen", kind, "--sites", "40"])
+        required = {"exchangeable": ["--levels", "1"], "uniform_subset": ["--configs", "0"]}
+        code = main(["gen", kind, "--sites", "40", *required.get(kind, [])])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "error: --sites 40 exceeds cap 5\n"
@@ -558,7 +575,7 @@ def leaves(parser, argv=()):
         if not action.option_strings:
             filled.append(next(iter(action.choices)) if action.choices else "in.json")
         elif action.required:
-            filled += [action.option_strings[0], "in.json"]
+            filled += [action.option_strings[0], "1" if action.type is int else "in.json"]
     yield filled, parser
 
 
@@ -608,6 +625,13 @@ class TestOptions:
     )
     def test_parse_errors_are_one_line(self, argv, capsys):
         TestSuiteCommand.assert_one_error_line(argv, capsys)
+
+    @pytest.mark.parametrize("argv", [["--jobs", "4", "suite", "bk-sanity"], ["--jobs=4", "suite", "bk-sanity"]])
+    def test_an_option_before_the_command_is_named(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: rcfold: --jobs is before the command; options go after the command\n"
 
     @pytest.mark.parametrize("argv", [["--help"], ["gen", "ising", "--help"], ["check", "pa", "-h"]])
     def test_help_exits_0(self, argv, capsys):

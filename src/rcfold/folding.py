@@ -19,7 +19,9 @@ table, ``FoldWindow.lift``: the full-space index of each folded
 configuration. Because reversal complements the folded bits, the reversed
 configuration of folded index f lifts to ``lift[-1 - f]``, so a fold is
 ``nums[lift[f]] * nums[lift[-1 - f]]`` per f. Slicing an event and lifting
-a configuration read the same table.
+a configuration read the same table. Weights stay integers: a convergence
+check squares its iterate w, of total S, and compares it with the limit,
+uniform on the argmax set M, as one fraction max |w_f |M| - S [f in M]| / (S |M|).
 
 The essential branches form a tree: a first fold, then nonempty-K steps,
 each removing at least one site. The pipelines walk it memoised
@@ -44,7 +46,6 @@ from .measures import (
     Record,
     SiteSpace,
     normalize,
-    sup_distance,
 )
 
 BRANCH_CAP = 4
@@ -289,6 +290,11 @@ class ConvergenceCheck(Record):
     bound: Fraction
     ok: bool
 
+    def __init__(self, distance, bound, ok):
+        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "ok", ok)
+
 
 def check_convergence_bound(
     p: Measure, prefix: FoldPath | Sequence[FoldSpec], i: int
@@ -322,12 +328,16 @@ def _convergence_checks(
     limit = _limit_from_nums(space, nums, max(len(steps), 1))
     square = FoldWindow.resolve(space, FoldSpec((), ()))
     size = p.space.size
+    in_max = [limit.argmax_set.mask >> f & 1 for f in range(len(nums))]
+    count = sum(in_max)
 
     def checks():
         iterate, power = nums, 2
         while True:
             iterate = square.fold(iterate)
-            distance = sup_distance(normalize(space, iterate), limit.measure)
+            total = sum(iterate)
+            gap = max(abs(w * count - total * m) for w, m in zip(iterate, in_max))
+            distance = Fraction(gap, total * count)
             bound = size * limit.ratio ** power
             yield ConvergenceCheck(distance, bound, distance <= bound)
             power *= 2

@@ -14,7 +14,9 @@ of a mask. On binary spaces the join and meet of two configurations are the
 OR and AND of their indices, as in ``rcr._join_meet_closed``.
 
 All probabilities are ``fractions.Fraction``; nothing on a verification
-path ever touches floating point.
+path ever touches floating point. A ``Measure`` also holds its weights as
+integer numerators over their lcm denominator (``int_weights``), which it is
+validated on; ``normalize`` and ``sup_distance`` compute on those numerators.
 """
 from __future__ import annotations
 
@@ -238,6 +240,17 @@ class SiteSpace(Record):
         vm = self.value_masks
         return tuple(tuple(sum(x & y for x, y in zip(a, b)) for b in vm) for a in vm)
 
+    @cached_property
+    def disagree_masks(self) -> tuple[int, ...]:
+        """Per position pair u < v: the configurations that differ at u and v."""
+        full, agree = (1 << self.size) - 1, self.agree_masks
+        return tuple(full ^ agree[u][v] for u in range(self.n) for v in range(u + 1, self.n))
+
+    @cached_property
+    def bit_steps(self) -> tuple[tuple[int, int, int], ...]:
+        """Per position of a binary space: (place value, value-0 mask, value-1 mask)."""
+        return tuple((w, *vm) for w, vm in zip(self.index_weights, self.value_masks))
+
 
 class Config(Record):
     """A configuration: one alphabet index per site of its space."""
@@ -358,8 +371,13 @@ class Event(Record):
         Value v becomes r - 1 - v at every position, and the place values
         times r - 1 sum to size - 1, so index i maps to size - 1 - i: the
         size-bit string of the mask, reversed."""
-        size = self.space.size
-        return Event(self.space, int(format(self.mask, f"0{size}b")[::-1], 2))
+        return Event(self.space, _reversed_mask(self.mask, self.space.size))
+
+
+def _reversed_mask(mask: int, size: int) -> int:
+    """The size-bit string of mask, reversed: index i becomes size - 1 - i."""
+    return int(format(mask, f"0{size}b")[::-1], 2)
+
 
 def cylinder(omega: Config, region: Iterable) -> Event:
     """The cylinder [omega]_K: configurations agreeing with omega on K."""
@@ -433,7 +451,8 @@ def _upset_masks(n: int) -> tuple[int, ...]:
 
 
 class Measure(Record):
-    """An exact probability vector over all configurations of a space."""
+    """An exact probability vector over all configurations of a space;
+    ``int_weights`` is (nums, den), the weights as integers over their lcm."""
 
     space: SiteSpace
     weights: tuple[Fraction, ...]
@@ -442,10 +461,12 @@ class Measure(Record):
         object.__setattr__(self, "weights", tuple(as_fraction(w) for w in self.weights))
         if len(self.weights) != self.space.size:
             raise InvalidParams("one weight per configuration required")
-        if any(w < 0 for w in self.weights):
+        nums, den = _common_denominator(self.weights)
+        if any(x < 0 for x in nums):
             raise InvalidParams("weights must be nonnegative")
-        if sum(self.weights) != 1:
+        if sum(nums) != den:
             raise InvalidParams("weights must sum to exactly 1")
+        object.__setattr__(self, "int_weights", (nums, den))
 
     @classmethod
     def uniform(cls, space: SiteSpace) -> "Measure":
@@ -462,15 +483,6 @@ class Measure(Record):
             tuple(w if support.contains_index(i) else Fraction(0) for i in range(support.space.size)),
         )
 
-    @cached_property
-    def int_weights(self) -> tuple[tuple[int, ...], int]:
-        """Common-denominator integer view (nums, den); nums sum to den."""
-        den = 1
-        for w in self.weights:
-            den = lcm(den, w.denominator)
-        nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
-        return nums, den
-
     def prob(self, event: Event) -> Fraction:
         _require_same_space(self.space, event.space)
         nums, den = self.int_weights
@@ -482,21 +494,28 @@ class Measure(Record):
         return self.weights == self.weights[::-1]
 
 
+def _common_denominator(weights: Sequence[Rational]) -> tuple[tuple[int, ...], int]:
+    """(nums, den): rationals as integer numerators over their lcm denominator."""
+    den = lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (den // w.denominator) for w in weights), den
+
+
 def normalize(space: SiteSpace, weights: Sequence[Rational]) -> Measure:
     """Scale a nonnegative weight vector to an exact probability vector."""
-    ws = [as_fraction(w) for w in weights]
-    if any(w < 0 for w in ws):
+    nums, _ = _common_denominator([w if type(w) is int else as_fraction(w) for w in weights])
+    if any(x < 0 for x in nums):
         raise InvalidParams("weights must be nonnegative")
-    total = sum(ws)
+    total = sum(nums)
     if total == 0:
         raise AllZero("cannot normalize an all-zero weight vector")
-    return Measure(space, tuple(w / total for w in ws))
+    return Measure(space, tuple(Fraction(x, total) for x in nums))
 
 
 def sup_distance(p: Measure, q: Measure) -> Fraction:
-    """Exact sup-norm distance max over configurations of |P - Q|."""
+    """Exact sup-norm distance max |x * d_q - y * d_p| / (d_p * d_q)."""
     _require_same_space(p.space, q.space)
-    return max(abs(a - b) for a, b in zip(p.weights, q.weights))
+    (xs, dp), (ys, dq) = p.int_weights, q.int_weights
+    return Fraction(max(abs(x * dq - y * dp) for x, y in zip(xs, ys)), dp * dq)
 
 
 def weight_summer(nums: Sequence[int], size: int) -> Callable[[int], int]:

@@ -12,11 +12,18 @@ compatibility meaning that w restricted to every bond lies in the bond's
 state. Compatibility is one bitmask over configuration indices: the AND
 over bonds of the OR, over the bond's state, of the AND of the space's value
 masks. Site agreement is read off the same masks. On binary spaces the join
-and meet of two configurations are the OR and AND of their indices. The
-module also provides the structural predicates used by the association
-pipelines, the point-mass base built from a symmetric join/meet-closed
-support, the uniform base over complete pairings, and the classic two-state
-edge base for agreement-weighted (Ising-type) measures.
+and meet of two configurations are the OR and AND of their indices, so the
+sublattice test moves whole masks along bits (``SiteSpace.bit_steps``).
+
+Weights stay integers; a ``Fraction`` is built only for a returned record.
+A base adds integer atom numerators (``int_weights``) along each atom's
+compatible mask. An edge weight x = a/b gives a where its endpoints agree and
+b where not, and the edge base's p = (a - b)/a makes every atom weight a
+numerator over D, the product of the a's. The module also provides the
+structural predicates used by the association pipelines, the point-mass base
+built from a symmetric join/meet-closed support, the uniform base over
+complete pairings, and the classic two-state edge base for
+agreement-weighted (Ising-type) measures.
 """
 from __future__ import annotations
 
@@ -24,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product as iter_product
+from math import prod
 from typing import Iterator
 
 from .errors import (
@@ -40,7 +48,9 @@ from .measures import (
     Measure,
     Record,
     SiteSpace,
+    _common_denominator,
     _cylinder_mask,
+    _reversed_mask,
     _tolerance,
     as_fraction,
     normalize,
@@ -97,10 +107,11 @@ class BondStateAssignment(Record):
     structure: HyperbondStructure
     states: tuple[frozenset, ...]
 
-    def __post_init__(self):
-        if len(self.states) != len(self.structure.bonds):
+    def __init__(self, structure, states):
+        if len(states) != len(structure.bonds):
             raise InvalidParams("one state per bond required")
-        object.__setattr__(self, "states", tuple(frozenset(s) for s in self.states))
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "states", tuple(frozenset(s) for s in states))
 
     def is_active(self, i: int) -> bool:
         return len(self.states[i]) != self.structure.bond_space_size(i)
@@ -114,6 +125,7 @@ class RcrBase(Record):
 
     A base is immutable, so its induced measure, its predicates and each
     atom's compatible mask and clusters are computed on first read and kept.
+    ``int_weights`` holds the atom weights as ``Measure.int_weights`` does.
     """
 
     structure: HyperbondStructure
@@ -122,10 +134,12 @@ class RcrBase(Record):
     def __post_init__(self):
         atoms = tuple((a, as_fraction(w)) for a, w in self.atoms)
         object.__setattr__(self, "atoms", atoms)
-        if any(w <= 0 for _, w in atoms):
+        nums, den = _common_denominator([w for _, w in atoms])
+        if any(x <= 0 for x in nums):
             raise InvalidParams("atom weights must be positive")
-        if sum(w for _, w in atoms) != 1:
+        if sum(nums) != den:
             raise InvalidParams("atom weights must sum to exactly 1")
+        object.__setattr__(self, "int_weights", (nums, den))
         keys = [a.states for a, _ in atoms]
         if len(set(keys)) != len(keys):
             raise InvalidParams("atom assignments must be distinct")
@@ -138,10 +152,10 @@ class RcrBase(Record):
         """The represented measure, normalized over all configurations;
         built on first read."""
         space = self.structure.space
-        raw = [Fraction(0)] * space.size
-        for eta, w in self.atoms:
+        raw = [0] * space.size
+        for (eta, _), num in zip(self.atoms, self.int_weights[0]):
             for i in Event(space, _compatible_mask(eta)).indices():
-                raw[i] += w
+                raw[i] += num
         if not any(raw):
             raise NoCompatiblePair("no configuration is compatible with any atom")
         return normalize(space, raw)
@@ -293,10 +307,19 @@ def predicates(base: RcrBase) -> BasePredicates:
 
 def _join_meet_closed(d: Event) -> bool:
     """Closure of d under join (``a | b``) and meet (``a & b``) of indices;
-    binary spaces only, which every caller checks first."""
+    binary spaces only, which every caller checks first. Moving d's mask up
+    along every set bit of a member a gives {a | b : b in d}, and down along
+    every clear bit {a & b : b in d}; both must lie inside d."""
     mask = d.mask
-    for a, b in combinations(list(d.indices()), 2):
-        if not (mask >> (a | b) & 1 and mask >> (a & b) & 1):
+    steps = d.space.bit_steps
+    for a in d.indices():
+        up = down = mask
+        for w, zeros, ones in steps:
+            if a & w:
+                up = up & ones | (up & zeros) << w
+            else:
+                down = down & zeros | (down & ones) >> w
+        if (up | down) & ~mask:
             return False
     return True
 
@@ -357,13 +380,11 @@ def check_sublattice(lattice: Event) -> SublatticeFlags:
     space = lattice.space
     if not space.is_binary:
         raise NonBinaryAlphabet("sublattice flags are defined on binary spaces")
+    mask = lattice.mask
     sub = _join_meet_closed(lattice)
-    sym = lattice.bar() == lattice
-    agree = space.agree_masks
-    separates = bool(lattice.mask) and all(
-        lattice.mask & ~agree[i][j] for i, j in combinations(range(space.n), 2)
-    )
-    full = lattice.mask == (1 << space.size) - 1
+    sym = _reversed_mask(mask, space.size) == mask
+    separates = bool(mask) and all(map(mask.__and__, space.disagree_masks))
+    full = mask == (1 << space.size) - 1
     if sub and sym and separates and not full:
         raise InvariantViolated("separation lemma violated: proper symmetric separating sublattice")
     return SublatticeFlags(sub, sym, separates, full)
@@ -463,16 +484,15 @@ class IsingSpec(Record):
 
 
 def ising_measure(spec: IsingSpec) -> Measure:
-    """Exact measure proportional to the product of edge and field factors."""
+    """Exact measure proportional to the product of edge and field factors;
+    a factor a/b contributes a where it applies and b elsewhere."""
     space = spec.space
     pos = space.site_pos
-    fields = spec.fields or tuple(Fraction(1) for _ in spec.vertices)
     factors = [(space.agree_masks[pos[u]][pos[v]], x) for u, v, x in spec.edges]
-    factors += [(ones, f) for (_, ones), f in zip(space.value_masks, fields)]
-    raw = [Fraction(1)] * space.size
+    factors += [(ones, f) for (_, ones), f in zip(space.value_masks, spec.fields or ())]
+    raw = [1] * space.size
     for mask, x in factors:
-        for i in Event(space, mask).indices():
-            raw[i] *= x
+        raw = [r * (x.numerator if mask >> i & 1 else x.denominator) for i, r in enumerate(raw)]
     return normalize(space, raw)
 
 
@@ -501,34 +521,22 @@ def ising_build(spec: IsingSpec) -> IsingBuild:
     struct = HyperbondStructure(space, tuple((u, v) for u, v, _ in spec.edges))
     diag = frozenset({(0, 0), (1, 1)})
     full = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
-    probs = [spec.edge_probability(x) for _, _, x in spec.edges]
-
-    atoms = []
-    fk_all = []  # (assignment, closed-formula weight) over the whole product
+    # x = a/b: p = (a - b)/a and 1 - p = b/a, numerators over D = prod a
+    halves = [(x.numerator - x.denominator, x.denominator) for _, _, x in spec.edges]
+    rows = []  # (assignment, atom numerator, closed-formula numerator)
     for choice in iter_product((True, False), repeat=len(spec.edges)):
-        w = Fraction(1)
-        for act, p in zip(choice, probs):
-            w *= p if act else 1 - p
-        eta = BondStateAssignment(
-            struct, tuple(diag if act else full for act in choice)
-        )
-        fk_all.append((eta, w * (1 << len(clusters(eta)))))
-        if w > 0:
-            atoms.append((eta, w))
-    base = RcrBase(struct, tuple(atoms))
+        num = prod(p if act else q for act, (p, q) in zip(choice, halves))
+        eta = BondStateAssignment(struct, tuple(diag if act else full for act in choice))
+        rows.append((eta, num, num << len(clusters(eta))))
+    den = sum(num for _, num, _ in rows)  # the numerators of all choices sum to D
+    base = RcrBase(struct, tuple((eta, Fraction(num, den)) for eta, num, _ in rows if num))
     measure = ising_measure(spec)
 
-    # closed formula, normalized
-    z_fk = sum(w for _, w in fk_all)
-    fk = tuple((eta, w / z_fk) for eta, w in fk_all)
-    # direct state marginal of the joint: weight times compatible count
-    atom_weight = {eta.states: w for eta, w in base.atoms}
-    direct = []
-    for eta, _ in fk_all:
-        w = atom_weight.get(eta.states, Fraction(0))
-        direct.append(w * _compatible_mask(eta).bit_count())
-    z_direct = sum(direct)
-    for (eta, closed), raw in zip(fk, direct):
-        if closed != raw / z_direct:
+    # the closed formula against the direct state marginal of the joint (atom
+    # weight times compatible count), both normalized: equal by cross-multiplying
+    direct = [num * _compatible_mask(eta).bit_count() for eta, num, _ in rows]
+    z_fk, z_direct = sum(c for _, _, c in rows), sum(direct)
+    for (_, _, closed), raw in zip(rows, direct):
+        if closed * z_direct != raw * z_fk:
             raise InvariantViolated("cluster marginal mismatch between formula and summation")
-    return IsingBuild(measure, base, tuple((eta, w) for eta, w in fk if w > 0))
+    return IsingBuild(measure, base, tuple((eta, Fraction(c, z_fk)) for eta, _, c in rows if c))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product as iter_product
 
 from .association import (
@@ -386,7 +387,8 @@ def _hypothesis_instance(kind, n, seed, n_pairs, rule_names):
 # ---------------------------------------------------------------------------
 
 
-def connected_graphs(vmax: int):
+@lru_cache(maxsize=None)  # keyed on vmax: the rcr-roundtrip suite asks for 3 or 4
+def connected_graphs(vmax: int) -> tuple[tuple[int, tuple], ...]:
     """Labeled connected graphs on 1..vmax vertices, deterministic order."""
     out = []
     for v in range(1, vmax + 1):
@@ -395,7 +397,7 @@ def connected_graphs(vmax: int):
             edges = tuple(pool[i] for i in range(len(pool)) if emask >> i & 1)
             if len(set(_component_roots(v, [(u - 1, w - 1) for u, w in edges]))) == 1:
                 out.append((v, edges))
-    return out
+    return tuple(out)
 
 
 def _assemble(suite: str, cfg: RunConfig, params: dict, specs) -> dict:

@@ -10,8 +10,25 @@ from functools import cache
 from itertools import combinations, product as iter_product
 
 from rcfold import Event, Measure, SiteSpace, normalize
-from rcfold.folding import _defined_folds, _first_folds
-from rcfold.measures import _cylinder_table, weight_summer
+from rcfold.folding import (
+    ConvergenceCheck,
+    FoldSpec,
+    FoldWindow,
+    _defined_folds,
+    _first_folds,
+    _fold_prefix,
+    _limit_from_nums,
+)
+from rcfold.measures import _cylinder_table, _tolerance, as_fraction, weight_summer
+from rcfold.rcr import (
+    BondStateAssignment,
+    HyperbondStructure,
+    IsingBuild,
+    RcrBase,
+    RcrCheck,
+    _compatible_mask,
+    clusters,
+)
 from rcfold.occurrence import _partners, _subset_sets
 
 
@@ -508,3 +525,101 @@ def dataclass_twin(cls) -> type:
     return dataclasses.make_dataclass(
         cls.__name__, names, frozen=True, eq=cls.__eq__ is not object.__eq__
     )
+
+
+# Fraction references: the cluster-base, measure and convergence kernels as
+# they were written before they moved to integers, one Fraction per weight.
+
+
+def fraction_normalize(space: SiteSpace, weights) -> Measure:
+    """``normalize`` summing and dividing Fractions."""
+    ws = [as_fraction(w) for w in weights]
+    if any(w < 0 for w in ws):
+        raise ValueError("weights must be nonnegative")
+    total = sum(ws)
+    return Measure(space, tuple(w / total for w in ws))
+
+
+def fraction_sup_distance(p: Measure, q: Measure) -> Fraction:
+    return max(abs(a - b) for a, b in zip(p.weights, q.weights))
+
+
+def fraction_base_measure(base: RcrBase) -> Measure:
+    """``RcrBase.measure`` adding Fraction atom weights per configuration."""
+    space = base.structure.space
+    raw = [Fraction(0)] * space.size
+    for eta, w in base.atoms:
+        for i in Event(space, _compatible_mask(eta)).indices():
+            raw[i] += w
+    return fraction_normalize(space, raw)
+
+
+def fraction_verify_rcr(p: Measure, base: RcrBase, eps=0) -> RcrCheck:
+    eps = _tolerance(eps)
+    dev = fraction_sup_distance(p, fraction_base_measure(base))
+    return RcrCheck(dev, dev <= eps)
+
+
+def fraction_ising_measure(spec) -> Measure:
+    """``ising_measure`` multiplying Fraction factors per configuration."""
+    space = spec.space
+    pos = space.site_pos
+    fields = spec.fields or tuple(Fraction(1) for _ in spec.vertices)
+    factors = [(space.agree_masks[pos[u]][pos[v]], x) for u, v, x in spec.edges]
+    factors += [(ones, f) for (_, ones), f in zip(space.value_masks, fields)]
+    raw = [Fraction(1)] * space.size
+    for mask, x in factors:
+        for i in Event(space, mask).indices():
+            raw[i] *= x
+    return fraction_normalize(space, raw)
+
+
+def fraction_ising_build(spec) -> IsingBuild:
+    """``ising_build`` with Fraction atom weights p = 1 - 1/x and a Fraction
+    cluster marginal, for specs that meet its preconditions."""
+    space = spec.space
+    struct = HyperbondStructure(space, tuple((u, v) for u, v, _ in spec.edges))
+    diag = frozenset({(0, 0), (1, 1)})
+    full = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+    probs = [spec.edge_probability(x) for _, _, x in spec.edges]
+
+    atoms = []
+    fk_all = []
+    for choice in iter_product((True, False), repeat=len(spec.edges)):
+        w = Fraction(1)
+        for act, p in zip(choice, probs):
+            w *= p if act else 1 - p
+        eta = BondStateAssignment(struct, tuple(diag if act else full for act in choice))
+        fk_all.append((eta, w * (1 << len(clusters(eta)))))
+        if w > 0:
+            atoms.append((eta, w))
+    base = RcrBase(struct, tuple(atoms))
+    measure = fraction_ising_measure(spec)
+
+    z_fk = sum(w for _, w in fk_all)
+    fk = tuple((eta, w / z_fk) for eta, w in fk_all)
+    atom_weight = {eta.states: w for eta, w in base.atoms}
+    direct = []
+    for eta, _ in fk_all:
+        w = atom_weight.get(eta.states, Fraction(0))
+        direct.append(w * _compatible_mask(eta).bit_count())
+    z_direct = sum(direct)
+    for (eta, closed), raw in zip(fk, direct):
+        assert closed == raw / z_direct, "cluster marginal mismatch"
+    return IsingBuild(measure, base, tuple((eta, w) for eta, w in fk if w > 0))
+
+
+def fraction_convergence_checks(p: Measure, steps: tuple):
+    """The convergence stream of a prefix, each iterate normalized into a
+    Measure and compared with the uniform limit by the sup-norm."""
+    space, nums = _fold_prefix(p.space, p.int_weights[0], steps)
+    limit = _limit_from_nums(space, nums, max(len(steps), 1))
+    square = FoldWindow.resolve(space, FoldSpec((), ()))
+    size = p.space.size
+    iterate, power = nums, 2
+    while True:
+        iterate = square.fold(iterate)
+        distance = fraction_sup_distance(fraction_normalize(space, iterate), limit.measure)
+        bound = size * limit.ratio ** power
+        yield ConvergenceCheck(distance, bound, distance <= bound)
+        power *= 2

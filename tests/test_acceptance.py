@@ -199,3 +199,18 @@ LEMMA_233_FULL_SHA256 = "6db4eefc0b1c6cca06e0b18672e3ffb4bac3c0bfe9546622abab3de
 def test_full_size_lemma_233_report_pinned():
     text = render_report(report("lemma-233"))
     assert hashlib.sha256(text.encode()).hexdigest() == LEMMA_233_FULL_SHA256
+
+
+# SHA-256 of the full-size reports of the suites that criteria 4-7 run: seed
+# 7, jobs 1, their default sizes.
+FULL_SHA256 = {
+    "folding-convergence": "8df9ad5364a17026e8f9c261ff492c72cb4253d2ef4ba551aabf64c804d2822e",
+    "rcr-roundtrip": "839e04d2d65139d78147324d23b1e96d7cdc2f5c91ba7dd2d1da163ea95ccf5d",
+    "sublattice": "d607e70e06a0359a60f38e9d4e61ad70d761fe0d7fdd882ded8c570f94e74e5b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SHA256))
+def test_full_size_report_pinned(name):
+    text = render_report(report(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == FULL_SHA256[name]

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,10 +20,15 @@ from rcfold import (
     normalize,
     sup_distance,
 )
-from rcfold.folding import _first_fold_specs
+from rcfold.folding import _convergence_checks, _first_fold_specs
 from rcfold.generators import random_measure
 
-from oracles import brute_fold, recursive_essential_prefixes, square_renormalize
+from oracles import (
+    brute_fold,
+    fraction_convergence_checks,
+    recursive_essential_prefixes,
+    square_renormalize,
+)
 
 F = Fraction
 
@@ -238,6 +245,22 @@ class TestConvergenceBound:
     def test_requires_i_past_prefix(self):
         with pytest.raises(Exception):
             check_convergence_bound(P_SYM, [], 1)
+
+    @pytest.mark.parametrize(
+        "space", [binary(2), binary(3), SiteSpace((1, 2), ((0, 1, 2), (0, 1)))], ids=repr
+    )
+    def test_first_folds_match_the_fraction_stream(self, space):
+        # weights 0..4 leave some folds undefined; both raise on those
+        rng = random.Random(space.size)
+        p = normalize(space, [rng.randrange(5) for _ in range(space.size - 1)] + [1])
+        for spec in _first_fold_specs(space):
+            try:
+                _, stream = _convergence_checks(p, (spec,))
+            except FoldingUndefined:
+                with pytest.raises(FoldingUndefined):
+                    next(fraction_convergence_checks(p, (spec,)))
+                continue
+            assert list(islice(stream, 4)) == list(islice(fraction_convergence_checks(p, (spec,)), 4))
 
 
 class TestEnumerateEssentialPrefixes:

@@ -253,6 +253,17 @@ class TestMeasure:
         # invariant when only site 1 is reversed, but not under full reversal
         assert not normalize(mixed, [1, 2, 3, 4, 1, 2]).is_symmetric()
 
+    def test_weight_guards_at_their_boundaries(self):
+        # a numerator of -1 is refused, also where the total is 0, and a zero
+        # weight is accepted
+        for guarded in (lambda: Measure(binary(1), (F(-1, 2), F(3, 2))), lambda: normalize(binary(1), [-1, 1])):
+            with pytest.raises(InvalidParams, match="nonnegative"):
+                guarded()
+        assert Measure(binary(1), (F(0), F(1))).int_weights == ((0, 1), 1)
+        assert normalize(binary(1), [0, 3]).int_weights == ((0, 1), 1)
+        with pytest.raises(InvalidParams, match="sum to exactly 1"):
+            Measure(binary(1), (F(1, 3), F(1, 3)))
+
     @given(st.lists(st.integers(0, 20), min_size=4, max_size=4).filter(any))
     def test_normalize_sums_to_one(self, ws):
         m = normalize(binary(2), ws)

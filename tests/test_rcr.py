@@ -30,9 +30,18 @@ from rcfold import (
 )
 
 from rcfold import rcr
-from rcfold.errors import InvariantViolated
+from rcfold.errors import InvalidParams, InvariantViolated
+from rcfold.measures import enumerate_upsets
+from rcfold.suites import _ising_weights, connected_graphs
 
-from oracles import brute_induced_measure, brute_sublattice_flags
+from oracles import (
+    brute_induced_measure,
+    brute_sublattice_flags,
+    fraction_base_measure,
+    fraction_ising_build,
+    fraction_ising_measure,
+    fraction_verify_rcr,
+)
 
 F = Fraction
 RADIX32 = SiteSpace((1, 2), ((0, 1, 2), (0, 1)))
@@ -166,7 +175,51 @@ class TestInducedMeasureOracle:
         sp = SiteSpace((1, 2, 3), ((0, 1, 2), (0, 1), (0, 1, 2)))
         struct = HyperbondStructure(sp, ((3, 1, 2), (1, 3), (2,)))
         for seed in range(12):
-            assert_induces_as_defined(random_base(struct, seed, atoms=3))
+            base = random_base(struct, seed, atoms=3)
+            assert_induces_as_defined(base)
+            if brute_induced_measure(base) is not None:
+                assert base.measure == fraction_base_measure(base)
+
+
+def assert_matches_fraction_oracles(spec):
+    """The integer kernels give the records of their Fraction references:
+    the measure, the base with its atoms and cluster marginal, the induced
+    measure and the check against the build's own and a squared measure."""
+    build = ising_build(spec)
+    assert build == fraction_ising_build(spec)
+    assert ising_measure(spec) == fraction_ising_measure(spec)
+    assert build.base.measure == fraction_base_measure(build.base)
+    squared = ising_measure(IsingSpec(spec.vertices, tuple((u, v, x * x) for u, v, x in spec.edges)))
+    for p in (build.measure, squared):
+        assert verify_rcr(p, build.base) == fraction_verify_rcr(p, build.base)
+
+
+class TestFractionOracles:
+    @pytest.mark.parametrize("weighting", ["2", "3", "5/2", "mixed"])
+    def test_every_suite_graph(self, weighting):
+        for v, edges in connected_graphs(4):
+            xs = _ising_weights(len(edges), weighting)
+            spec = IsingSpec(tuple(range(1, v + 1)), tuple((u, w, x) for (u, w), x in zip(edges, xs)))
+            assert_matches_fraction_oracles(spec)
+
+    def test_fields(self):
+        spec = IsingSpec((1, 2, 3), ((1, 2, F(2)), (2, 3, F(3, 2))), fields=(F(2), F(3, 2), F(1)))
+        assert ising_measure(spec) == fraction_ising_measure(spec)
+        with pytest.raises(PreconditionFailed):
+            ising_build(spec)
+
+    def test_edge_weight_one_drops_its_active_atoms(self):
+        spec = IsingSpec((1, 2, 3), ((1, 2, F(1)), (2, 3, F(7, 3))))
+        assert_matches_fraction_oracles(spec)
+        # p = 0 on edge 1-2: only the atoms leaving it full remain
+        assert [eta.states[0] for eta, _ in ising_build(spec).base.atoms] == [FULL2, FULL2]
+
+    def test_mismatched_measure_gives_its_deviation(self):
+        build = ising_build(IsingSpec((1, 2, 3), ((1, 2, F(2)), (2, 3, F(3)), (1, 3, F(5, 2)))))
+        other = ising_measure(IsingSpec((1, 2, 3), ((1, 2, F(3)), (2, 3, F(2)), (1, 3, F(3)))))
+        check = verify_rcr(other, build.base)
+        assert check == fraction_verify_rcr(other, build.base)
+        assert check.max_dev == F(11, 390) and not check.ok
 
 
 class TestInducedInvariants:
@@ -366,6 +419,29 @@ class TestSublattice:
             flags = check_sublattice(event)
             assert tuple(vars(flags).values()) == brute_sublattice_flags(event)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_every_interval_and_up_set(self, n):
+        # random subsets rarely reach the closed branch; intervals and up-sets
+        # are closed under join and meet, and sets near them test the branch
+        sp = binary(n)
+        top = (1 << n) - 1
+        intervals = [
+            sum(1 << c for c in range(sp.size) if not a & ~c and not c & ~b)
+            for a in range(top + 1)
+            for b in range(top + 1)
+            if not a & ~b
+        ]
+        events = [Event(sp, m) for m in intervals] + list(enumerate_upsets(sp))
+        for event in events:
+            assert tuple(vars(check_sublattice(event)).values()) == brute_sublattice_flags(event)
+
+    def test_seeded_subsets_of_the_five_cube(self):
+        sp = binary(5)
+        rng = random.Random(5)
+        for _ in range(200):
+            event = Event(sp, rng.getrandbits(sp.size))
+            assert tuple(vars(check_sublattice(event)).values()) == brute_sublattice_flags(event)
+
     def test_separation_lemma_failure_is_an_invariant_violation(self, monkeypatch):
         # {01, 10} is symmetric and separating but no sublattice; a closure
         # test that wrongly accepts it makes the lemma's re-check fire
@@ -441,6 +517,11 @@ class TestIsing:
         with pytest.raises(PreconditionFailed):
             ising_build(ising_edge(F(1, 2)))
 
+    def test_base_weight_boundary_is_one(self):
+        assert ising_build(ising_edge(1)).base.atoms[0][1] == 1
+        with pytest.raises(PreconditionFailed):
+            ising_build(ising_edge(1 - F(1, 10**9)))
+
     def test_field_rejected_for_base(self):
         spec = IsingSpec((1, 2), ((1, 2, F(2)),), fields=(F(2), F(1)))
         with pytest.raises(PreconditionFailed):
@@ -474,3 +555,28 @@ class TestIsing:
         monkeypatch.setattr(rcr, "clusters", lambda eta: (frozenset({1, 2}),))
         with pytest.raises(InvariantViolated, match="cluster marginal mismatch"):
             ising_build(ising_edge(2))
+
+
+class TestPositiveGuards:
+    """Each positivity guard rejects 0 and accepts a small positive value."""
+
+    def test_atom_weights(self):
+        struct = pair_struct(2)
+        diag, full = BondStateAssignment(struct, (DIAG,)), BondStateAssignment(struct, (FULL2,))
+        with pytest.raises(InvalidParams, match="atom weights must be positive"):
+            RcrBase(struct, ((diag, F(0)), (full, F(1))))
+        tiny = F(1, 10**9)
+        base = RcrBase(struct, ((diag, tiny), (full, 1 - tiny)))
+        assert base.measure == fraction_base_measure(base)
+
+    def test_edge_weights(self):
+        with pytest.raises(InvalidParams, match="edge weights must be positive"):
+            ising_edge(0)
+        spec = ising_edge(F(1, 10**9))
+        assert ising_measure(spec) == fraction_ising_measure(spec)
+
+    def test_field_weights(self):
+        with pytest.raises(InvalidParams, match="field weights must be positive"):
+            IsingSpec((1, 2), ((1, 2, F(2)),), fields=(F(0), F(1)))
+        spec = IsingSpec((1, 2), ((1, 2, F(2)),), fields=(F(1, 10**9), F(1)))
+        assert ising_measure(spec) == fraction_ising_measure(spec)

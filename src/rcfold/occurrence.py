@@ -4,29 +4,27 @@ For events A, B and a configuration w, a witness pair is a pair of
 disjoint site sets (K, L) such that the cylinder of w on K lies inside A
 and the cylinder on L lies inside B. A site set is held as a position-mask
 (bit p for the site at position p), the witness set of an event at w as
-one bitmask over position-masks. A selection rule is a side filter: at
-each configuration it gives the positions the A-side and the B-side of a
-kept pair may use. Its box operation collects the configurations where
-some pair is kept. An event's witness sets and a rule's sides at every
-configuration are tabulated once per space (``_witness_row``,
-``_side_table``). A rule pushed through a fold is a rule on the folded
-space: the surviving sites are binary, so K is a witness of an event
-extended over the conditioned sites at the lift of f exactly when K cut
-to the surviving sites is a witness of the event at f. Its sides at f are
-the sides at the lift of f cut to the surviving positions
-(``_pushed_sides``), and pushing twice composes. Two checkable bounds tie
-the machinery to measures: the disjoint-cluster bound (box probability
-against the bar-reflected intersection, given a symmetric cluster base
-none of whose clusters straddles a kept witness pair, compared as position
-masks) and the folding hypothesis bound (per-folding box inequalities
-forcing the product bound upstairs).
+one bitmask over position-masks. A selection rule is one of three named
+side filters: at each configuration it gives the positions the A-side and
+the B-side of a kept pair may use (every site, the top symbols, or the top
+symbols for A and the bottom ones for B). Its box operation collects the
+configurations where some pair is kept. An event's witness sets and a
+rule's sides at every configuration are tabulated once per space
+(``_witness_row``, ``_side_table``). Each rule is fold-invariant: on a fold
+whose surviving sites are binary, a surviving site holds at the lift of a
+folded configuration f exactly the symbol f holds there, so the rule a
+fold induces is the rule itself. Two checkable bounds tie the machinery to
+measures: the disjoint-cluster bound (box probability against the
+bar-reflected intersection, given a symmetric cluster base none of whose
+clusters straddles a kept witness pair, compared as position masks) and
+the folding hypothesis bound (per-folding box inequalities forcing the
+product bound upstairs).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from operator import or_
-from typing import Callable
 
 from .errors import NonBinaryAlphabet, PreconditionFailed, SpaceMismatch
 from .folding import FoldSpec, FoldWindow, _defined_folds, _first_folds, fold_window
@@ -83,45 +81,34 @@ def _disjoint_pairs(ks: int, ls: int, n: int) -> list[tuple[int, int]]:
     return [(k, l) for k in kmasks if ks >> k & 1 for l in kmasks if ls >> l & 1 and not k & l]
 
 
-@lru_cache(maxsize=256)  # the three occurrence suites use 78 (sides, space) tables
+@lru_cache(maxsize=256)  # the three occurrence suites use 18 (sides, space) tables
 def _side_table(sides, space: SiteSpace) -> tuple[tuple[int, int], ...]:
     """A rule's sides at every configuration index of a space."""
     return tuple(sides(space, i) for i in range(space.size))
 
 
 class SelectionRule(Record):
-    """A named side filter over the disjoint-occurrence witness pairs.
+    """A built-in side filter over the disjoint-occurrence witness pairs,
+    by name: ``full``, ``increasing_only`` or ``increasing_decreasing``.
 
-    ``sides(space, index)`` gives two position-masks; at that configuration
-    the rule keeps the witness pairs (K, L) with K inside the first and L
-    inside the second. The sides must depend on their arguments alone, as
-    they are tabulated once per space. A rule pushed through a fold is a
-    rule on the folded space, ``space``; an unpushed rule has none and runs
-    on every space.
+    Its sides at a configuration, ``_SIDES[name](space, index)``, are two
+    position-masks; there the rule keeps the witness pairs (K, L) with K
+    inside the first and L inside the second.
     """
 
     name: str
-    sides: Callable[[SiteSpace, int], tuple[int, int]]
-    space: SiteSpace | None
 
-    def __init__(self, name: str, sides, space: SiteSpace | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "sides", sides)
-        object.__setattr__(self, "space", space)
-
-    # a rule is equal only to itself and hashes as an object, not by its fields
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+    def __post_init__(self):
+        if self.name not in _SIDES:
+            raise PreconditionFailed(f"unknown selection rule {self.name!r}")
 
     def _kept(self, a: Event, b: Event) -> list[tuple[int, int]]:
         """Per configuration index, the kept A-side and B-side witness sets."""
         space = a.space
         if b.space != space:
             raise SpaceMismatch("events on different spaces")
-        if self.space is not None and space != self.space:
-            raise SpaceMismatch("events not on the folded space of the pushed rule")
         within = _subset_sets(space.n)
-        sides = _side_table(self.sides, space)
+        sides = _side_table(_SIDES[self.name], space)
         rows = zip(sides, _witness_row(space, a.mask), _witness_row(space, b.mask))
         return [(ka & within[sa], lb & within[sb]) for (sa, sb), ka, lb in rows]
 
@@ -155,32 +142,29 @@ def _ones_ones(space: SiteSpace, index: int) -> tuple[int, int]:
     return (_ones_zeros(space, index)[0],) * 2
 
 
+_SIDES = {"full": _full_sides, "increasing_only": _ones_ones, "increasing_decreasing": _ones_zeros}
+
+
 def full_rule() -> SelectionRule:
-    return SelectionRule("full", _full_sides)
+    return SelectionRule("full")
 
 
 def increasing_only_rule() -> SelectionRule:
     """Keep witness pairs recognized inside the 1s of the configuration."""
-    return SelectionRule("increasing_only", _ones_ones)
+    return SelectionRule("increasing_only")
 
 
 def increasing_decreasing_rule() -> SelectionRule:
     """Recognize A inside the 1s and B inside the 0s of the configuration."""
-    return SelectionRule("increasing_decreasing", _ones_zeros)
-
-
-BUILTIN_RULES = {
-    "full": full_rule,
-    "increasing_only": increasing_only_rule,
-    "increasing_decreasing": increasing_decreasing_rule,
-}
+    return SelectionRule("increasing_decreasing")
 
 
 def rule_by_name(name: str) -> SelectionRule:
-    key = name.replace("-", "_")
-    if key not in BUILTIN_RULES:
-        raise PreconditionFailed(f"unknown selection rule {name!r}")
-    return BUILTIN_RULES[key]()
+    """The built-in rule a name spells, with ``-`` for ``_``."""
+    try:
+        return SelectionRule(name.replace("-", "_"))
+    except PreconditionFailed:
+        raise PreconditionFailed(f"unknown selection rule {name!r}") from None
 
 
 def box(a: Event, b: Event) -> Event:
@@ -189,8 +173,7 @@ def box(a: Event, b: Event) -> Event:
 
 
 def box_with_rule(a: Event, b: Event, rule: SelectionRule) -> Event:
-    """Configurations where the rule keeps at least one witness pair. The
-    events of a pushed rule must lie on its folded space."""
+    """Configurations where the rule keeps at least one witness pair."""
     within = _subset_sets(a.space.n)
     kept = enumerate(rule._kept(a, b))
     return Event(a.space, sum(1 << i for i, (ka, lb) in kept if ka and _partners(ka, within) & lb))
@@ -249,38 +232,16 @@ def induced_rule(rule: SelectionRule, space: SiteSpace, spec: FoldSpec) -> Selec
     conditioned sites (so a witness pair need not re-certify the
     conditioning), the configuration is lifted through alpha and beta,
     the original rule runs there, and each witness pair is intersected
-    with the surviving sites. With this reading the full rule induces the
-    full rule of the smaller space, and the slice of a box is always
-    contained in the box of the slices. Both fail when a surviving site has
-    more than two symbols (a witness must then pin it on both sides), so
-    such a window raises NonBinaryAlphabet.
+    with the surviving sites. A surviving binary site holds at the lift of
+    f the symbol f holds there, so every built-in rule induces itself, and
+    the slice of a box is contained in the box of the slices. Both fail
+    when a surviving site has more than two symbols (a witness must then
+    pin it on both sides), so such a window raises NonBinaryAlphabet.
     """
     window = fold_window(space, spec)
     if any(space.radices[p] > 2 for p in range(space.n) if window.co_mask >> p & 1):
         raise NonBinaryAlphabet("rules are pushed through folds whose surviving sites are binary")
-    return _pushed_rule(rule, window)
-
-
-def _pushed_rule(rule: SelectionRule, window: FoldWindow) -> SelectionRule:
-    if rule.space is not None and rule.space != window.space:
-        raise SpaceMismatch("rule pushed through a fold of another space")
-    pushed = _pushed_sides(rule.sides, window)
-    return SelectionRule(f"{rule.name}@fold", pushed, window.folded_space)
-
-
-@lru_cache(maxsize=256)  # the three occurrence suites push through 72 (sides, window) pairs
-def _pushed_sides(sides, window: FoldWindow) -> Callable[[SiteSpace, int], tuple[int, int]]:
-    """The sides of a rule pushed through ``window``, on the folded space: at
-    f, the sides at ``lift[f]`` cut to the surviving positions, the j-th one
-    becoming position j. One function per (sides, window), so that pushing
-    the pushed rule again finds its table cached."""
-    surviving = [p for p in range(window.space.n) if window.co_mask >> p & 1]
-    table = _side_table(sides, window.space)
-    folded = tuple(
-        tuple(sum(1 << j for j, p in enumerate(surviving) if side >> p & 1) for side in table[i])
-        for i in window.lift
-    )
-    return lambda space, f: folded[f]
+    return rule
 
 
 class DisjointClusterReport(Record):
@@ -394,7 +355,7 @@ def check_folding_hypothesis_bound(
     for window, fnums in folds:
         checked += 1
         a_slice, b_slice = window.slice_event(a), window.slice_event(b)
-        boxed = box_with_rule(a_slice, b_slice, _pushed_rule(rule, window))
+        boxed = box_with_rule(a_slice, b_slice, rule)
         excess = sum(fnums[i] for i in boxed.indices())
         excess -= sum(fnums[i] for i in (a_slice & b_slice.bar()).indices())
         if excess * eps.denominator > eps.numerator * sum(fnums):

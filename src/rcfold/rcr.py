@@ -116,6 +116,19 @@ class BondStateAssignment(Record):
     def is_active(self, i: int) -> bool:
         return len(self.states[i]) != self.structure.bond_space_size(i)
 
+    @cached_property
+    def compatible_mask(self) -> int:
+        """Bitmask of the configuration indices compatible with the
+        assignment: the AND over active bonds of the union of the (disjoint)
+        cylinders of the state's tuples. A full state allows every one."""
+        struct = self.structure
+        space = struct.space
+        out = (1 << space.size) - 1
+        for i, (positions, state) in enumerate(zip(struct.bond_positions, self.states)):
+            if self.is_active(i):
+                out &= sum(_cylinder_mask(space, positions, local) for local in state)
+        return out
+
     def sort_key(self) -> tuple:
         return tuple(tuple(sorted(s)) for s in self.states)
 
@@ -124,7 +137,8 @@ class RcrBase(Record):
     """A sparse base: distinct assignments with positive weights summing to 1.
 
     A base is immutable, so its induced measure, its predicates and each
-    atom's compatible mask and clusters are computed on first read and kept.
+    atom's clusters are computed on first read and kept; each atom keeps
+    its own compatible mask.
     ``int_weights`` holds the atom weights as ``Measure.int_weights`` does.
     """
 
@@ -154,7 +168,7 @@ class RcrBase(Record):
         space = self.structure.space
         raw = [0] * space.size
         for (eta, _), num in zip(self.atoms, self.int_weights[0]):
-            for i in Event(space, _compatible_mask(eta)).indices():
+            for i in Event(space, eta.compatible_mask).indices():
                 raw[i] += num
         if not any(raw):
             raise NoCompatiblePair("no configuration is compatible with any atom")
@@ -204,24 +218,14 @@ class RcrBase(Record):
         def masks(eta):
             return tuple(sum(1 << pos[s] for s in c) for c in clusters(eta) if len(c) > 1)
 
-        return tuple((_compatible_mask(eta), masks(eta)) for eta, _ in self.atoms)
+        return tuple((eta.compatible_mask, masks(eta)) for eta, _ in self.atoms)
 
 
 def compatible(eta: BondStateAssignment, omega: Config) -> bool:
     """True iff omega restricted to every bond lies in that bond's state."""
     if eta.structure.space != omega.space:
         raise SpaceMismatch("assignment and configuration on different spaces")
-    return bool(_compatible_mask(eta) >> omega.index & 1)
-
-
-def _compatible_mask(eta: BondStateAssignment) -> int:
-    """Bitmask of the configuration indices compatible with eta: the AND
-    over bonds of the union of the (disjoint) cylinders of the state's tuples."""
-    space = eta.structure.space
-    out = (1 << space.size) - 1
-    for positions, state in zip(eta.structure.bond_positions, eta.states):
-        out &= sum(_cylinder_mask(space, positions, local) for local in state)
-    return out
+    return bool(eta.compatible_mask >> omega.index & 1)
 
 
 def induced_measure(base: RcrBase) -> Measure:
@@ -534,7 +538,7 @@ def ising_build(spec: IsingSpec) -> IsingBuild:
 
     # the closed formula against the direct state marginal of the joint (atom
     # weight times compatible count), both normalized: equal by cross-multiplying
-    direct = [num * _compatible_mask(eta).bit_count() for eta, num, _ in rows]
+    direct = [num * eta.compatible_mask.bit_count() for eta, num, _ in rows]
     z_fk, z_direct = sum(c for _, _, c in rows), sum(direct)
     for (_, _, closed), raw in zip(rows, direct):
         if closed * z_direct != raw * z_fk:

@@ -26,7 +26,6 @@ from rcfold.rcr import (
     IsingBuild,
     RcrBase,
     RcrCheck,
-    _compatible_mask,
     clusters,
 )
 from rcfold.occurrence import _partners, _subset_sets
@@ -298,28 +297,30 @@ def _brute_cylinders(space: SiteSpace) -> tuple:
     )
 
 
-def brute_induced_measure(base):
-    """The measure a cluster base represents, from its definition.
+def brute_compatible(eta, w) -> bool:
+    """Whether configuration w is compatible with assignment eta: at every
+    bond, w's values at the bond's sites form a tuple inside the bond's state."""
+    pos = w.space.site_pos
+    return all(
+        tuple(w.values[pos[s]] for s in bond) in state
+        for bond, state in zip(eta.structure.bonds, eta.states)
+    )
 
-    A configuration is compatible with an atom when, at every bond, its
-    values at the bond's sites form a tuple inside the bond's state; its
-    weight is the total weight of the compatible atoms. None when no
-    configuration is compatible with any atom.
-    """
-    struct = base.structure
-    space = struct.space
 
-    def compatible(eta, w):
-        return all(
-            tuple(w.values[space.site_pos[s]] for s in bond) in state
-            for bond, state in zip(struct.bonds, eta.states)
-        )
-
-    raw = [
-        sum((weight for eta, weight in base.atoms if compatible(eta, w)), Fraction(0))
-        for w in space.iter_configs()
+def _brute_raw(base) -> list[Fraction]:
+    """Per configuration, the total weight of the atoms compatible with it."""
+    return [
+        sum((weight for eta, weight in base.atoms if brute_compatible(eta, w)), Fraction(0))
+        for w in base.structure.space.iter_configs()
     ]
-    return normalize(space, raw) if any(raw) else None
+
+
+def brute_induced_measure(base):
+    """The measure a cluster base represents, from its definition: a
+    configuration weighs the total weight of the compatible atoms. None when
+    no configuration is compatible with any atom."""
+    raw = _brute_raw(base)
+    return normalize(base.structure.space, raw) if any(raw) else None
 
 
 def brute_sublattice_flags(event: Event) -> tuple:
@@ -520,11 +521,8 @@ def is_increasing(event: Event) -> bool:
 
 def dataclass_twin(cls) -> type:
     """The frozen dataclass a value type stands in for: the same name and
-    fields, and identity equality where the type compares by identity."""
-    names = list(vars(cls)["__annotations__"])
-    return dataclasses.make_dataclass(
-        cls.__name__, names, frozen=True, eq=cls.__eq__ is not object.__eq__
-    )
+    fields."""
+    return dataclasses.make_dataclass(cls.__name__, list(vars(cls)["__annotations__"]), frozen=True)
 
 
 # Fraction references: the cluster-base, measure and convergence kernels as
@@ -546,12 +544,7 @@ def fraction_sup_distance(p: Measure, q: Measure) -> Fraction:
 
 def fraction_base_measure(base: RcrBase) -> Measure:
     """``RcrBase.measure`` adding Fraction atom weights per configuration."""
-    space = base.structure.space
-    raw = [Fraction(0)] * space.size
-    for eta, w in base.atoms:
-        for i in Event(space, _compatible_mask(eta)).indices():
-            raw[i] += w
-    return fraction_normalize(space, raw)
+    return fraction_normalize(base.structure.space, _brute_raw(base))
 
 
 def fraction_verify_rcr(p: Measure, base: RcrBase, eps=0) -> RcrCheck:
@@ -602,7 +595,7 @@ def fraction_ising_build(spec) -> IsingBuild:
     direct = []
     for eta, _ in fk_all:
         w = atom_weight.get(eta.states, Fraction(0))
-        direct.append(w * _compatible_mask(eta).bit_count())
+        direct.append(w * sum(brute_compatible(eta, c) for c in space.iter_configs()))
     z_direct = sum(direct)
     for (eta, closed), raw in zip(fk, direct):
         assert closed == raw / z_direct, "cluster marginal mismatch"

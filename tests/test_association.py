@@ -481,6 +481,12 @@ class TestPerturb:
             ]
             assert perturb(m, eps) == normalize(m.space, raw)
 
+    def test_eps_must_be_positive(self):
+        m = Measure.uniform(binary(2))
+        with pytest.raises(InvalidParams, match="must be positive"):
+            perturb(m, 0)
+        assert perturb(m, F(1, 10**9)) != m
+
     def test_balanced_support_untouched(self):
         m = uniform_01_10()
         assert perturb(m, F(1, 8)) == m

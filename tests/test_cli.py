@@ -2,10 +2,16 @@ import argparse
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
+from rcfold import suites
+from rcfold.association import _certify, is_na, is_pa
 from rcfold.cli import build_parser, main
+from rcfold.errors import InvariantViolated
+from rcfold.folding import ConvergenceCheck
+from rcfold.occurrence import DisjointClusterReport
 from rcfold.serialize import base_to_json, dumps_canonical, measure_to_json
 from rcfold.suites import RunConfig, run_suite, render_report
 from rcfold.generators import binary_space
@@ -685,3 +691,75 @@ class TestDeterminismSmoke:
         assert report["ok"] is False
         failing = report["instances"][1]
         assert failing["repro"] == "rcfold suite bk-sanity --seed 9 --only 1 --instances 2"
+
+
+# Each row kind with a failure field, forced to fail by replacing the
+# predicate it reads in ``rcfold.suites``: (suite, --instances, row kind,
+# predicate, replacement of the predicate, failure fields).
+
+
+def _refused(argmax):
+    return "forced", "every limit is refused"
+
+
+def _certifying_with(final):
+    return lambda real: lambda m: _certify(m, _refused, final)
+
+
+def _scanning_a_positive_measure(real):
+    positive = Measure(binary_space(2), (F(1, 3), F(1, 6), F(1, 6), F(1, 3)))
+    return lambda m: real(positive)
+
+
+def _failing_checks(real):
+    def checks(m, steps):
+        limit, stream = real(m, steps)
+        return limit, (ConvergenceCheck(c.distance, c.bound, False) for c in stream)
+
+    return checks
+
+
+def _failing_report(real):
+    def check(*args):
+        rep = real(*args)
+        fields = (rep.lhs, rep.rhs, rep.slack, rep.max_dev, rep.base_within_eps)
+        return DisjointClusterReport(*fields, False)
+
+    return check
+
+
+def _raising(real):
+    def check(event):
+        raise InvariantViolated("forced")
+
+    return check
+
+
+FAILING_ROWS = [
+    ("fkg-pa", 1, "fkg-pipeline", "fkg_theorem_pipeline", _certifying_with(is_na),
+     ("failures", "pa_witness")),
+    ("snfkg-na", 1, "snfkg-perturbed", "snfkg_limit_rcr", _certifying_with(is_pa), ("failures",)),
+    ("nfkg-na", 1, "nfkg-na", "is_na", _scanning_a_positive_measure, ("na_witness",)),
+    ("folding-convergence", 2, "convergence", "_convergence_checks", _failing_checks, ("detail",)),
+    ("lemma-232", None, "cluster-bound", "check_disjoint_cluster_bound", _failing_report,
+     ("witness",)),
+    ("sublattice", 3, "sublattice-sweep", "check_sublattice", _raising, ("exceptions",)),
+    ("nfkg-na", 1, "ulc-na", "is_na", _scanning_a_positive_measure, ("failures",)),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, instances, kind, name, force, fields", FAILING_ROWS, ids=[c[2] for c in FAILING_ROWS]
+)
+def test_a_failing_row_keeps_its_failure_and_its_repro(
+    suite, instances, kind, name, force, fields, monkeypatch, capsys
+):
+    monkeypatch.setattr(suites, name, force(getattr(suites, name)))
+    report = run_suite(suite, RunConfig(seed=3, instances=instances))
+    row = next(r for r in report["instances"] if r["kind"] == kind)
+    assert row["ok"] is False and all(row[f] for f in fields)
+    repro = f"rcfold suite {suite} --seed 3 --only {row['id']}"
+    assert row["repro"] == repro + ("" if instances is None else f" --instances {instances}")
+    rendered = json.loads(render_report(report))
+    assert main(row["repro"].split()[1:]) == 1
+    assert json.loads(capsys.readouterr().out)["instances"] == [rendered["instances"][row["id"]]]

@@ -9,6 +9,7 @@ from rcfold import (
     FoldPath,
     FoldSpec,
     FoldingUndefined,
+    InvalidParams,
     Measure,
     SiteSpace,
     branch_limit,
@@ -243,7 +244,7 @@ class TestConvergenceBound:
             assert check_convergence_bound(p, [], i) == check_convergence_bound(q, [], i)
 
     def test_requires_i_past_prefix(self):
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidParams):
             check_convergence_bound(P_SYM, [], 1)
 
     @pytest.mark.parametrize(

@@ -126,6 +126,9 @@ class TestUpsets:
         with pytest.raises(CapExceeded):
             enumerate_upsets(binary(6))
 
+    def test_the_cap_admits_five_sites(self):
+        assert len(enumerate_upsets(binary(5))) == 7581
+
     def test_bar_maps_increasing_to_decreasing(self):
         for e in enumerate_upsets(binary(3)):
             barred = e.bar()

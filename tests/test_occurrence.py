@@ -11,6 +11,7 @@ from rcfold import (
     NonBinaryAlphabet,
     PreconditionFailed,
     RcrBase,
+    SelectionRule,
     SiteSpace,
     SpaceMismatch,
     box,
@@ -266,27 +267,14 @@ class TestBoxOracle:
 
 
 class TestSpaceChecks:
-    def test_a_pushed_rule_boxes_events_on_its_folded_space_only(self):
-        sp3 = binary(3)
-        spec = FoldSpec((1,), (0,))
-        pushed = induced_rule(full_rule(), sp3, spec)
-        folded = fold_window(sp3, spec).folded_space
-        full = Event.full(folded)
-        assert box_with_rule(full, full, pushed) == full
-        for sp in (sp3, SiteSpace.binary(("x", "y"))):
-            a = b = Event.full(sp)
-            with pytest.raises(SpaceMismatch):
-                box_with_rule(a, b, pushed)
-            with pytest.raises(SpaceMismatch):
-                pushed.select(a, b, sp.config_at(0))
-
-    def test_a_pushed_rule_is_pushed_through_folds_of_its_folded_space_only(self):
-        sp3 = binary(3)
-        pushed = induced_rule(full_rule(), sp3, FoldSpec((1,), (0,)))
-        with pytest.raises(SpaceMismatch):
-            induced_rule(pushed, sp3, FoldSpec((2,), (1,)))
-        twice = induced_rule(pushed, pushed.space, FoldSpec((2,), (1,)))
-        assert twice.space == SiteSpace.binary((3,))
+    @pytest.mark.parametrize("sp", ORACLE_SPACES, ids=ORACLE_IDS)
+    def test_every_rule_induces_itself_and_only_built_in_rules_exist(self, sp):
+        for spec in _first_fold_specs(sp):
+            if not _keeps_a_wide_site(sp, fold_window(sp, spec)):
+                for make, _ in RULES_AND_KEEPS:
+                    assert induced_rule(make(), sp, spec) == make()
+        with pytest.raises(PreconditionFailed):
+            SelectionRule("bogus")
 
     def test_mixed_site_ids_fold_and_box(self):
         sp = SiteSpace((1, "a", (2, 3)), ((0, 1),) * 3)

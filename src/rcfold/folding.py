@@ -202,12 +202,13 @@ class FoldWindow(Record):
             raise FoldingUndefined(f"fold {self.spec} has zero total mass")
         return out
 
+    def slice_mask(self, mask: int) -> int:
+        """The folded indices whose lift lies in the full-space ``mask``."""
+        return sum(1 << f for f, i in enumerate(self.lift) if mask >> i & 1)
+
     def slice_event(self, full_event: Event) -> Event:
         """Folded configurations whose lift lies in the full-space event."""
-        mask = full_event.mask
-        return Event.from_indices(
-            self.folded_space, (f for f, i in enumerate(self.lift) if mask >> i & 1)
-        )
+        return Event(self.folded_space, self.slice_mask(full_event.mask))
 
 
 def fold_window(space: SiteSpace, spec: FoldSpec) -> FoldWindow:

@@ -36,6 +36,7 @@ from .measures import (
     Record,
     SiteSpace,
     _cylinder_table,
+    _reversed_mask,
     _tolerance,
     weight_summer,
 )
@@ -102,14 +103,12 @@ class SelectionRule(Record):
         if self.name not in _SIDES:
             raise PreconditionFailed(f"unknown selection rule {self.name!r}")
 
-    def _kept(self, a: Event, b: Event) -> list[tuple[int, int]]:
-        """Per configuration index, the kept A-side and B-side witness sets."""
-        space = a.space
-        if b.space != space:
-            raise SpaceMismatch("events on different spaces")
+    def _kept(self, space: SiteSpace, amask: int, bmask: int) -> list[tuple[int, int]]:
+        """Per configuration index of the space, the kept A-side and B-side
+        witness sets of the events with masks ``amask`` and ``bmask``."""
         within = _subset_sets(space.n)
         sides = _side_table(_SIDES[self.name], space)
-        rows = zip(sides, _witness_row(space, a.mask), _witness_row(space, b.mask))
+        rows = zip(sides, _witness_row(space, amask), _witness_row(space, bmask))
         return [(ka & within[sa], lb & within[sb]) for (sa, sb), ka, lb in rows]
 
     def select(self, a: Event, b: Event, omega: Config) -> frozenset:
@@ -117,7 +116,7 @@ class SelectionRule(Record):
         if a.space != omega.space or b.space != omega.space:
             raise SpaceMismatch("events and configuration on different spaces")
         space = omega.space
-        ka, lb = self._kept(a, b)[omega.index]
+        ka, lb = self._kept(space, a.mask, b.mask)[omega.index]
         return frozenset(
             (_sites_of(space, k), _sites_of(space, l)) for k, l in _disjoint_pairs(ka, lb, space.n)
         )
@@ -174,9 +173,16 @@ def box(a: Event, b: Event) -> Event:
 
 def box_with_rule(a: Event, b: Event, rule: SelectionRule) -> Event:
     """Configurations where the rule keeps at least one witness pair."""
-    within = _subset_sets(a.space.n)
-    kept = enumerate(rule._kept(a, b))
-    return Event(a.space, sum(1 << i for i, (ka, lb) in kept if ka and _partners(ka, within) & lb))
+    if b.space != a.space:
+        raise SpaceMismatch("events on different spaces")
+    return Event(a.space, _box_mask(rule._kept(a.space, a.mask, b.mask), a.space.n))
+
+
+def _box_mask(kept: list[tuple[int, int]], n: int) -> int:
+    """The indices where a kept table (``SelectionRule._kept``) holds a
+    disjoint pair, as a bitmask."""
+    within = _subset_sets(n)
+    return sum(1 << i for i, (ka, lb) in enumerate(kept) if ka and _partners(ka, within) & lb)
 
 
 def box_product_sweep(p: Measure) -> dict:
@@ -286,16 +292,17 @@ def check_disjoint_cluster_bound(
         raise PreconditionFailed("base is not symmetric")
     eps = _tolerance(eps)
 
-    boxed = box_with_rule(a, b, rule)
-    kept = rule._kept(a, b)
-    pairs = {i: _disjoint_pairs(*kept[i], p.space.n) for i in boxed.indices()}
-    for (eta, _), (compat, comps) in zip(base.atoms, base.atom_clusters):
+    n = p.space.n
+    kept = rule._kept(p.space, a.mask, b.mask)
+    boxed = Event(p.space, _box_mask(kept, n))
+    pairs = {i: _disjoint_pairs(*kept[i], n) for i in boxed.indices()}
+    for atom, (compat, comps) in enumerate(base.atom_clusters):
         for i in pairs:
             if compat >> i & 1 and not any(
                 all(not (c & k and c & l) for c in comps) for k, l in pairs[i]
             ):
                 raise PreconditionFailed(
-                    f"rule uses a straddling cluster of atom {eta.sort_key()}"
+                    f"rule uses a straddling cluster of atom {atom} of the base"
                     f" at {p.space.config_at(i)}"
                 )
 
@@ -354,10 +361,11 @@ def check_folding_hypothesis_bound(
     folds = _defined_folds(p.int_weights[0], _first_fold_windows(p.space))
     for window, fnums in folds:
         checked += 1
-        a_slice, b_slice = window.slice_event(a), window.slice_event(b)
-        boxed = box_with_rule(a_slice, b_slice, rule)
-        excess = sum(fnums[i] for i in boxed.indices())
-        excess -= sum(fnums[i] for i in (a_slice & b_slice.bar()).indices())
+        space = window.folded_space
+        sa, sb = window.slice_mask(a.mask), window.slice_mask(b.mask)
+        boxed = _box_mask(rule._kept(space, sa, sb), space.n)
+        meet = sa & _reversed_mask(sb, space.size)  # A and bar B
+        excess = sum(w * ((boxed >> f & 1) - (meet >> f & 1)) for f, w in enumerate(fnums))
         if excess * eps.denominator > eps.numerator * sum(fnums):
             failures.append(window.spec)
 

@@ -1,19 +1,22 @@
 """Set-valued cluster bases and their induced measures.
 
 A hyperbond structure fixes a family of site subsets (bonds). A bond-state
-assignment gives each bond a set of local configurations; a bond is active
-when its state is a proper subset of the local product space. A base is a
-sparse probability vector over assignments, and it represents a measure P
-when
+assignment gives each bond a set of local configurations, as a bitmask: bit
+t stands for local configuration t, numbered in mixed radix over the bond's
+sites in space order, first site most significant, as a ``SiteSpace``
+indexes its configurations. So reversing a state reverses its bit string,
+as ``Event.bar`` does. A bond is active when its state is not the full one.
+A base is a sparse probability vector over assignments, and it represents a
+measure P when
 
     P(w) = (1/Z) * sum over assignments compatible with w of their weight,
 
 compatibility meaning that w restricted to every bond lies in the bond's
 state. Compatibility is one bitmask over configuration indices: the AND
-over bonds of the OR, over the bond's state, of the AND of the space's value
-masks. Site agreement is read off the same masks. On binary spaces the join
-and meet of two configurations are the OR and AND of their indices, so the
-sublattice test moves whole masks along bits (``SiteSpace.bit_steps``).
+over bonds of the OR of the state's local cylinders. Site agreement is read
+off the space's value masks. On binary spaces the join and meet of two
+configurations are the OR and AND of their indices, so the sublattice test
+moves whole masks along bits (``SiteSpace.bit_steps``).
 
 Weights stay integers; a ``Fraction`` is built only for a returned record.
 A base adds integer atom numerators (``int_weights``) along each atom's
@@ -49,7 +52,6 @@ from .measures import (
     Record,
     SiteSpace,
     _common_denominator,
-    _cylinder_mask,
     _reversed_mask,
     _tolerance,
     as_fraction,
@@ -86,15 +88,22 @@ class HyperbondStructure(Record):
         pos = self.space.site_pos
         return tuple(tuple(pos[s] for s in b) for b in self.bonds)
 
-    def bond_space_size(self, i: int) -> int:
-        out = 1
-        for p in self.bond_positions[i]:
-            out *= self.space.radices[p]
-        return out
+    @cached_property
+    def local_cylinders(self) -> tuple[tuple[int, ...], ...]:
+        """Entry [i][t]: the configurations whose values on bond i form its
+        local configuration t; each site of the bond appends one digit."""
+        masks = self.space.value_masks
+        out = []
+        for positions in self.bond_positions:
+            row = [(1 << self.space.size) - 1]
+            for p in positions:
+                row = [c & m for c in row for m in masks[p]]
+            out.append(tuple(row))
+        return tuple(out)
 
-    def full_state(self, i: int) -> frozenset:
-        ranges = [range(self.space.radices[p]) for p in self.bond_positions[i]]
-        return frozenset(iter_product(*ranges))
+    @cached_property
+    def full_states(self) -> tuple[int, ...]:
+        return tuple((1 << len(row)) - 1 for row in self.local_cylinders)
 
     @classmethod
     def all_pairs(cls, space: SiteSpace) -> "HyperbondStructure":
@@ -102,35 +111,32 @@ class HyperbondStructure(Record):
 
 
 class BondStateAssignment(Record):
-    """One set-valued state per bond, stored as local value-index tuples."""
+    """One set-valued state per bond, a bitmask over its local configurations."""
 
     structure: HyperbondStructure
-    states: tuple[frozenset, ...]
+    states: tuple[int, ...]
 
     def __init__(self, structure, states):
+        states = tuple(states)
         if len(states) != len(structure.bonds):
             raise InvalidParams("one state per bond required")
+        for bond, state, full in zip(structure.bonds, states, structure.full_states):
+            if not 0 <= state <= full:
+                raise InvalidParams(f"state of bond {list(bond)} outside 0..{full}")
         object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "states", tuple(frozenset(s) for s in states))
-
-    def is_active(self, i: int) -> bool:
-        return len(self.states[i]) != self.structure.bond_space_size(i)
+        object.__setattr__(self, "states", states)
 
     @cached_property
     def compatible_mask(self) -> int:
         """Bitmask of the configuration indices compatible with the
         assignment: the AND over active bonds of the union of the (disjoint)
-        cylinders of the state's tuples. A full state allows every one."""
+        local cylinders in the state. A full state allows every one."""
         struct = self.structure
-        space = struct.space
-        out = (1 << space.size) - 1
-        for i, (positions, state) in enumerate(zip(struct.bond_positions, self.states)):
-            if self.is_active(i):
-                out &= sum(_cylinder_mask(space, positions, local) for local in state)
+        out = (1 << struct.space.size) - 1
+        for cyls, state, full in zip(struct.local_cylinders, self.states, struct.full_states):
+            if state != full:
+                out &= sum(cyl for t, cyl in enumerate(cyls) if state >> t & 1)
         return out
-
-    def sort_key(self) -> tuple:
-        return tuple(tuple(sorted(s)) for s in self.states)
 
 
 class RcrBase(Record):
@@ -178,35 +184,23 @@ class RcrBase(Record):
     def predicates(self) -> BasePredicates:
         """The structural predicates, evaluated atom by atom on first read."""
         struct = self.structure
-        space = struct.space
         pairwise = all(len(b) <= 2 for b in struct.bonds)
-        binary = space.is_binary
+        binary = struct.space.is_binary
 
-        symmetric = True
-        ferro: bool | None = True if binary else None
-        antiferro: bool | None = True if binary else None
-        isolated = True
+        symmetric = isolated = True
+        ferro = antiferro = True if binary else None  # undefined off binary spaces
 
         for eta, _ in self.atoms:
             active_positions = []
-            for i, positions in enumerate(struct.bond_positions):
-                state = eta.states[i]
-                radices = tuple(space.radices[p] for p in positions)
-                if _state_reversed(state, radices) != state:
-                    symmetric = False
-                full_size = struct.bond_space_size(i)
-                active = len(state) != full_size
-                if active:
+            for positions, state, full in zip(struct.bond_positions, eta.states, struct.full_states):
+                k = full.bit_length()  # local configurations; the last is all top symbols
+                symmetric = symmetric and _reversed_mask(state, k) == state
+                if state != full:
                     active_positions.append(set(positions))
-                if binary:
-                    if state and tuple(1 for _ in positions) not in state:
-                        ferro = False
-                    if active:
-                        if len(positions) != 2 or state != frozenset({(0, 1), (1, 0)}):
-                            antiferro = False
-            for a, b in combinations(active_positions, 2):
-                if a & b:
-                    isolated = False
+                    antiferro = antiferro and len(positions) == 2 and state == 0b0110
+                if binary and state and not state >> (k - 1):
+                    ferro = False
+            isolated = isolated and not any(a & b for a, b in combinations(active_positions, 2))
         return BasePredicates(symmetric, ferro, antiferro, isolated, pairwise)
 
     @cached_property
@@ -253,11 +247,12 @@ def clusters(eta: BondStateAssignment) -> tuple[frozenset, ...]:
     Union-find over the space's sites; every active bond merges all its
     sites into one component.
     """
-    space = eta.structure.space
+    struct = eta.structure
+    space = struct.space
     active = (
         positions
-        for i, positions in enumerate(eta.structure.bond_positions)
-        if eta.is_active(i)
+        for positions, state, full in zip(struct.bond_positions, eta.states, struct.full_states)
+        if state != full
     )
     groups: dict[int, list] = {}
     for p, root in enumerate(_component_roots(space.n, active)):
@@ -300,10 +295,6 @@ class BasePredicates(Record):
     pairwise: bool
 
 
-def _state_reversed(state: frozenset, radices: tuple[int, ...]) -> frozenset:
-    return frozenset(tuple(r - 1 - v for v, r in zip(t, radices)) for t in state)
-
-
 def predicates(base: RcrBase) -> BasePredicates:
     """The structural predicates of a base, evaluated atom by atom."""
     return base.predicates
@@ -334,8 +325,9 @@ def construct_uniform_symmetric_rcr(d: Event) -> RcrBase:
     Requires d nonempty, closed under global symbol reversal, and closed
     under join and meet (the product-lattice condition the uniform measure
     on d must satisfy). The base puts every site pair whose coordinates
-    agree across all of d in the two-equal state, and leaves every other
-    pair unconstrained; the induced measure is then exactly uniform on d.
+    agree across all of d in the two-equal state 0b1001 ({00, 11}), and
+    leaves every other pair unconstrained; the induced measure is then
+    exactly uniform on d.
     """
     space = d.space
     if not space.is_binary:
@@ -352,13 +344,11 @@ def construct_uniform_symmetric_rcr(d: Event) -> RcrBase:
         raise PreconditionFailed("; ".join(failures))
 
     struct = HyperbondStructure.all_pairs(space)
-    states = []
-    for i, (pu, pv) in enumerate(struct.bond_positions):
-        if not d.mask & ~space.agree_masks[pu][pv]:
-            states.append(frozenset({(0, 0), (1, 1)}))
-        else:
-            states.append(struct.full_state(i))
-    eta = BondStateAssignment(struct, tuple(states))
+    states = (
+        0b1001 if not d.mask & ~space.agree_masks[pu][pv] else full
+        for (pu, pv), full in zip(struct.bond_positions, struct.full_states)
+    )
+    eta = BondStateAssignment(struct, states)
     return RcrBase(struct, ((eta, Fraction(1)),))
 
 
@@ -415,7 +405,7 @@ def complete_pairing_base(space: SiteSpace) -> RcrBase:
 
     Atoms are the (near-)perfect matchings of the complete graph on the
     sites, one unmatched site allowed when the count is odd. Matched pairs
-    carry the state {(0,1),(1,0)}; unmatched pairs stay unconstrained. The
+    carry the state 0b0110 ({01, 10}); unmatched pairs stay unconstrained. The
     induced measure is uniform on the configurations whose number of 1s is
     within 1/2 of half the site count.
     """
@@ -424,16 +414,15 @@ def complete_pairing_base(space: SiteSpace) -> RcrBase:
     struct = HyperbondStructure.all_pairs(space)
     bond_index = {b: i for i, b in enumerate(struct.bonds)}
     pos = space.site_pos
-    anti = frozenset({(0, 1), (1, 0)})
     atoms = []
     all_matchings = list(_matchings(space.sites))
     weight = Fraction(1, len(all_matchings))
     for matching in all_matchings:
-        states = [struct.full_state(i) for i in range(len(struct.bonds))]
+        states = list(struct.full_states)
         for u, v in matching:
             key = tuple(sorted((u, v), key=pos.__getitem__))
-            states[bond_index[key]] = anti
-        atoms.append((BondStateAssignment(struct, tuple(states)), weight))
+            states[bond_index[key]] = 0b0110
+        atoms.append((BondStateAssignment(struct, states), weight))
     return RcrBase(struct, tuple(atoms))
 
 
@@ -511,8 +500,8 @@ def ising_build(spec: IsingSpec) -> IsingBuild:
 
     Requires every field weight 1 and every edge weight x >= 1, so each
     edge's activation probability p = 1 - 1/x lies in [0, 1). The base is
-    the product over edges of (equal-pair state with probability p, full
-    state otherwise). The state marginal of the joint distribution is also
+    the product over edges of (the equal-pair state 0b1001 with probability
+    p, the full state 0b1111 otherwise). The state marginal of the joint distribution is also
     computed two ways, by the closed product-times-2^clusters formula and
     by direct summation, and the two must agree exactly (``InvariantViolated``
     if not).
@@ -523,14 +512,12 @@ def ising_build(spec: IsingSpec) -> IsingBuild:
         raise PreconditionFailed("base construction requires edge weights >= 1")
     space = spec.space
     struct = HyperbondStructure(space, tuple((u, v) for u, v, _ in spec.edges))
-    diag = frozenset({(0, 0), (1, 1)})
-    full = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
     # x = a/b: p = (a - b)/a and 1 - p = b/a, numerators over D = prod a
     halves = [(x.numerator - x.denominator, x.denominator) for _, _, x in spec.edges]
     rows = []  # (assignment, atom numerator, closed-formula numerator)
     for choice in iter_product((True, False), repeat=len(spec.edges)):
         num = prod(p if act else q for act, (p, q) in zip(choice, halves))
-        eta = BondStateAssignment(struct, tuple(diag if act else full for act in choice))
+        eta = BondStateAssignment(struct, (0b1001 if act else 0b1111 for act in choice))
         rows.append((eta, num, num << len(clusters(eta))))
     den = sum(num for _, num, _ in rows)  # the numerators of all choices sum to D
     base = RcrBase(struct, tuple((eta, Fraction(num, den)) for eta, num, _ in rows if num))

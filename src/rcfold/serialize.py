@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import product as iter_product
 from typing import Any
 
 from .errors import InvalidParams, SpaceMismatch
@@ -118,43 +119,44 @@ def limit_to_json(limit: BranchLimit) -> dict:
     }
 
 
+def _local_rows(struct: HyperbondStructure) -> list[list[tuple]]:
+    """Per bond, its local configurations as symbol rows, row t for bit t of a state."""
+    alphabets = struct.space.alphabets
+    return [list(iter_product(*(alphabets[p] for p in b))) for b in struct.bond_positions]
+
+
 def base_to_json(base: RcrBase) -> dict:
-    space = base.structure.space
-    out = space_to_json(space)
+    out = space_to_json(base.structure.space)
     out["bonds"] = [list(b) for b in base.structure.bonds]
-    atoms = []
-    for eta, w in base.atoms:
-        states = []
-        for (bond, positions, state) in zip(
-            base.structure.bonds, base.structure.bond_positions, eta.states
-        ):
-            alphabets = [space.alphabets[p] for p in positions]
-            states.append(
-                sorted([alph[v] for alph, v in zip(alphabets, t)] for t in state)
-            )
-        atoms.append({"weight": fraction_str(w), "states": states})
-    out["atoms"] = atoms
+    rows = _local_rows(base.structure)
+    out["atoms"] = [
+        {
+            "weight": fraction_str(w),
+            "states": [
+                sorted(list(row) for t, row in enumerate(local) if state >> t & 1)
+                for local, state in zip(rows, eta.states)
+            ],
+        }
+        for eta, w in base.atoms
+    ]
     return out
 
 
 def base_from_json(obj: dict) -> RcrBase:
     space = space_from_json(obj)
     struct = HyperbondStructure(space, tuple(tuple(b) for b in obj["bonds"]))
+    bits = [{row: 1 << t for t, row in enumerate(local)} for local in _local_rows(struct)]
     atoms = []
     for atom in obj["atoms"]:
         if len(atom["states"]) != len(struct.bonds):
             raise InvalidParams("one state per bond required")
         states = []
-        for bond, positions, rows in zip(struct.bonds, struct.bond_positions, atom["states"]):
-            alphabets = [space.alphabets[p] for p in positions]
-            if any(len(row) != len(bond) for row in rows):
-                raise InvalidParams(f"each state row of bond {list(bond)} needs {len(bond)} symbols")
-            state = frozenset(
-                tuple(alph.index(sym) for alph, sym in zip(alphabets, row))
-                for row in rows
-            )
-            states.append(state)
-        atoms.append((BondStateAssignment(struct, tuple(states)), atom["weight"]))
+        for bond, local, rows in zip(struct.bonds, bits, atom["states"]):
+            for row in rows:
+                if tuple(row) not in local:
+                    raise InvalidParams(f"bond {list(bond)} has no local configuration {row}")
+            states.append(sum({local[tuple(row)] for row in rows}))  # a set: repeats collapse
+        atoms.append((BondStateAssignment(struct, states), atom["weight"]))
     return RcrBase(struct, tuple(atoms))
 
 

@@ -299,11 +299,18 @@ def _brute_cylinders(space: SiteSpace) -> tuple:
 
 def brute_compatible(eta, w) -> bool:
     """Whether configuration w is compatible with assignment eta: at every
-    bond, w's values at the bond's sites form a tuple inside the bond's state."""
-    pos = w.space.site_pos
+    bond, w's values at the bond's sites, read as one mixed-radix number
+    (first site most significant), name a bit set in the bond's state."""
+    pos, radices = w.space.site_pos, w.space.radices
+
+    def local_index(bond):
+        t = 0
+        for s in bond:
+            t = t * radices[pos[s]] + w.values[pos[s]]
+        return t
+
     return all(
-        tuple(w.values[pos[s]] for s in bond) in state
-        for bond, state in zip(eta.structure.bonds, eta.states)
+        state >> local_index(bond) & 1 for bond, state in zip(eta.structure.bonds, eta.states)
     )
 
 
@@ -572,8 +579,7 @@ def fraction_ising_build(spec) -> IsingBuild:
     cluster marginal, for specs that meet its preconditions."""
     space = spec.space
     struct = HyperbondStructure(space, tuple((u, v) for u, v, _ in spec.edges))
-    diag = frozenset({(0, 0), (1, 1)})
-    full = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+    diag, full = 0b1001, 0b1111  # the pair states {00, 11} and all four
     probs = [spec.edge_probability(x) for _, _, x in spec.edges]
 
     atoms = []

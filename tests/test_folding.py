@@ -311,3 +311,33 @@ def test_fold_symmetry_property(bits):
     m = normalize(binary(2), weights)
     f = fold(m, FoldSpec((), ()))
     assert f.weights == tuple(reversed(f.weights))
+
+
+RADIX32 = SiteSpace((1, 2), ((0, 1, 2), (0, 1)))
+FOLD_SPEC_GUARDS = {
+    "alpha-count": (lambda: FoldSpec((1, 2), (0,)), "one alpha symbol per conditioned site"),
+    "site-off-space": (lambda: fold(P_BASE, FoldSpec((3,), (0,))), "site 3 not in space"),
+    "alpha-off-alphabet": (lambda: fold(P_BASE, FoldSpec((1,), (2,))), "alpha symbol 2 not in"),
+    "beta-omitted-off-binary": (
+        lambda: fold(Measure.uniform(RADIX32), FoldSpec((2,), (0,))),
+        "beta may be omitted on binary alphabets only",
+    ),
+    "beta-rows-short": (
+        lambda: fold(P_BASE, FoldSpec((), (), ((0,), (1,)))),
+        "beta rows must cover exactly the remaining sites",
+    ),
+    "beta-off-alphabet": (
+        lambda: fold(P_BASE, FoldSpec((), (), ((0, 0), (5, 1)))),
+        "beta symbol outside the site's alphabet",
+    ),
+    "beta-equal": (
+        lambda: fold(P_BASE, FoldSpec((), (), ((0, 0), (0, 1)))),
+        "beta components must be pointwise distinct",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, match", FOLD_SPEC_GUARDS.values(), ids=FOLD_SPEC_GUARDS)
+def test_fold_spec_guards(make, match):
+    with pytest.raises(InvalidParams, match=match):
+        make()

@@ -410,9 +410,7 @@ class TestDisjointClusterBound:
 
         sp = binary(2)
         struct = HyperbondStructure(sp, ((1, 2),))
-        base = RcrBase(
-            struct, ((BondStateAssignment(struct, (frozenset({(1, 1)}),)), F(1)),)
-        )
+        base = RcrBase(struct, ((BondStateAssignment(struct, (0b1000,)), F(1)),))  # {11}
         p = Measure(sp, (F(0), F(0), F(0), F(1)))
         with pytest.raises(PreconditionFailed, match="symmetric"):
             check_disjoint_cluster_bound(
@@ -596,3 +594,63 @@ class TestBoxProductSweepOracle:
         assert SWEEP_MEASURES["wide"].int_weights[1] > 2**40
         assert len(box_product_sweep(SWEEP_MEASURES["end-heavy"])["violations"]) == 1814
         assert len(box_product_sweep(SWEEP_MEASURES["sparse"])["violations"]) == 2063
+
+
+def _straddled():
+    """Atom {00, 11} on bond (1, 2) with A = {10, 11} and B = {01, 11}: at 11
+    every disjoint pair (K, L) puts site 1 in K and site 2 in L, and the
+    atom's cluster {1, 2} meets both."""
+    from rcfold import BondStateAssignment, HyperbondStructure
+
+    sp = binary(2)
+    struct = HyperbondStructure(sp, ((1, 2),))
+    base = RcrBase(struct, ((BondStateAssignment(struct, (0b1001,)), F(1)),))
+    a, b = Event.from_indices(sp, [2, 3]), Event.from_indices(sp, [1, 3])
+    return check_disjoint_cluster_bound(base.measure, base, full_rule(), a, b)
+
+
+_B2, _B3 = Event.full(binary(2)), Event.full(binary(3))
+_EDGE = ising_build(IsingSpec((1, 2), ((1, 2, F(2)),)))
+OCCURRENCE_GUARDS = {
+    "straddling-cluster": (
+        _straddled,
+        PreconditionFailed,
+        "straddling cluster of atom 0 of the base at 11",
+    ),
+    "box-events-apart": (lambda: box_with_rule(_B2, _B3, full_rule()), SpaceMismatch, "different"),
+    "select-off-space": (
+        lambda: full_rule().select(_B2, _B3, binary(2).config([0, 0])),
+        SpaceMismatch,
+        "different",
+    ),
+    "cluster-bound-off-binary": (
+        lambda: check_disjoint_cluster_bound(
+            Measure.uniform(SiteSpace((1,), ((0, 1, 2),))), _EDGE.base, full_rule(), _B2, _B2
+        ),
+        NonBinaryAlphabet,
+        "binary",
+    ),
+    "cluster-bound-events-apart": (
+        lambda: check_disjoint_cluster_bound(_EDGE.measure, _EDGE.base, full_rule(), _B2, _B3),
+        SpaceMismatch,
+        "events and measure",
+    ),
+    "hypothesis-off-binary": (
+        lambda: check_folding_hypothesis_bound(
+            Measure.uniform(SiteSpace((1,), ((0, 1, 2),))), full_rule(), _B2, _B2
+        ),
+        NonBinaryAlphabet,
+        "binary",
+    ),
+    "hypothesis-events-apart": (
+        lambda: check_folding_hypothesis_bound(_EDGE.measure, full_rule(), _B3, _B2),
+        SpaceMismatch,
+        "events and measure",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, error, match", OCCURRENCE_GUARDS.values(), ids=OCCURRENCE_GUARDS)
+def test_occurrence_guards(make, error, match):
+    with pytest.raises(error, match=match):
+        make()

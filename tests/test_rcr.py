@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -30,8 +32,17 @@ from rcfold import (
 )
 
 from rcfold import rcr
-from rcfold.errors import InvalidParams, InvariantViolated
+from rcfold.cli import main
+from rcfold.errors import InvalidParams, InvariantViolated, SpaceMismatch
 from rcfold.measures import enumerate_upsets
+from rcfold.serialize import (
+    base_from_json,
+    base_to_json,
+    config_from_json,
+    dumps_canonical,
+    event_from_json,
+    measure_to_json,
+)
 from rcfold.suites import _ising_weights, connected_graphs
 
 from oracles import (
@@ -45,9 +56,10 @@ from oracles import (
 
 F = Fraction
 RADIX32 = SiteSpace((1, 2), ((0, 1, 2), (0, 1)))
-DIAG = frozenset({(0, 0), (1, 1)})
-ANTI = frozenset({(0, 1), (1, 0)})
-FULL2 = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+# pair states, bit t for the local configuration t: 00, 01, 10, 11
+DIAG = 0b1001
+ANTI = 0b0110
+FULL2 = 0b1111
 
 
 def binary(n):
@@ -104,7 +116,7 @@ class TestInducedMeasure:
 
     def test_no_compatible_pair(self):
         struct = pair_struct(2)
-        base = RcrBase(struct, ((BondStateAssignment(struct, (frozenset(),)), F(1)),))
+        base = RcrBase(struct, ((BondStateAssignment(struct, (0,)), F(1)),))
         with pytest.raises(NoCompatiblePair):
             induced_measure(base)
 
@@ -123,23 +135,25 @@ class TestInducedMeasure:
         assert induced_measure(mixed) == normalize(binary(2), raw)
 
 
+def set_bits(state):
+    return tuple(t for t in range(state.bit_length()) if state >> t & 1)
+
+
 def random_base(struct, seed, atoms=4):
     """The all-full and the all-empty atom plus up to ``atoms`` - 2 more whose
-    bond states are seeded random subsets of the bond's local tuples."""
+    bond states are seeded random subsets of the bond's local configurations,
+    one coin per configuration in index order; atoms sorted by their states'
+    configuration lists."""
     rng = random.Random(seed)
-    locals_ = [sorted(struct.full_state(i)) for i in range(len(struct.bonds))]
+    sizes = [full.bit_length() for full in struct.full_states]
     etas = {
-        BondStateAssignment(struct, tuple(frozenset(ts) for ts in locals_)),
-        BondStateAssignment(struct, tuple(frozenset() for _ in locals_)),
+        BondStateAssignment(struct, struct.full_states),
+        BondStateAssignment(struct, (0,) * len(sizes)),
     }
     for _ in range(atoms - 2):
-        etas.add(
-            BondStateAssignment(
-                struct,
-                tuple(frozenset(t for t in ts if rng.getrandbits(1)) for ts in locals_),
-            )
-        )
-    etas = sorted(etas, key=BondStateAssignment.sort_key)
+        states = (sum(rng.getrandbits(1) << t for t in range(k)) for k in sizes)
+        etas.add(BondStateAssignment(struct, states))
+    etas = sorted(etas, key=lambda eta: tuple(map(set_bits, eta.states)))
     raw = [rng.randint(1, 5) for _ in etas]
     return RcrBase(struct, tuple((eta, F(w, sum(raw))) for eta, w in zip(etas, raw)))
 
@@ -295,9 +309,7 @@ class TestPredicates:
 
     def test_asymmetric_state_detected(self):
         struct = HyperbondStructure(binary(2), ((1, 2),))
-        base = RcrBase(
-            struct, ((BondStateAssignment(struct, (frozenset({(1, 1)}),)), F(1)),)
-        )
+        base = RcrBase(struct, ((BondStateAssignment(struct, (0b1000,)), F(1)),))
         assert not predicates(base).symmetric
 
 
@@ -580,3 +592,192 @@ class TestPositiveGuards:
             IsingSpec((1, 2), ((1, 2, F(2)),), fields=(F(0), F(1)))
         spec = IsingSpec((1, 2), ((1, 2, F(2)),), fields=(F(1, 10**9), F(1)))
         assert ising_measure(spec) == fraction_ising_measure(spec)
+
+
+def radix32_base_file(*states):
+    """A base file on RADIX32 with bond (1, 2): one atom per list of state
+    rows, the weights equal."""
+    atoms = [{"weight": f"1/{len(states)}", "states": [list(rows)]} for rows in states]
+    return {"sites": [1, 2], "alphabets": [[0, 1, 2], [0, 1]], "bonds": [[1, 2]], "atoms": atoms}
+
+
+RADIX32_FULL = [[a, b] for a in range(3) for b in range(2)]
+TRIANGLE = IsingSpec((1, 2, 3), ((1, 2, F(2)), (2, 3, F(3)), (1, 3, F(5, 2))))
+PINNED_BASES = {
+    "ising-triangle": (
+        lambda: ising_build(TRIANGLE).base,
+        "0ab67360aa6fcc243d4262370b3bedadaa483200935ca464f116b314dd3ad361",
+    ),
+    "pairings-4": (
+        lambda: complete_pairing_base(binary(4)),
+        "224a2dad456b95382994cb894aa393a50836884e04de3675b189bbd3c3a17d17",
+    ),
+    "uniform-support": (
+        lambda: construct_uniform_symmetric_rcr(Event.from_indices(binary(3), [0, 1, 6, 7])),
+        "0f61fd8e991d2bf29d134f37325dfc9dc98983d32fba75f3502c8d224692c8a0",
+    ),
+    "radix32-file": (
+        lambda: base_from_json(radix32_base_file([[2, 1], [0, 0], [0, 0]], RADIX32_FULL)),
+        "7d70b0b0b90512c91b7c67ef0c71160e64f091e1fbc2895c5c3f26983e158ecb",
+    ),
+}
+
+
+class TestBondStateMasks:
+    """A state is a bitmask over its bond's local configurations, numbered
+    in mixed radix over the bond's sites, first site most significant."""
+
+    def triple_flags(self, state):
+        struct = HyperbondStructure(binary(3), ((1, 2, 3),))
+        return predicates(RcrBase(struct, ((BondStateAssignment(struct, (state,)), F(1)),)))
+
+    def test_three_site_bond_is_never_antiferromagnetic(self):
+        # 0b0110 is {01, 10} on a pair but {001, 010} on three sites
+        assert predicates(complete_pairing_base(binary(2))).antiferromagnetic
+        assert self.triple_flags(0b0110).antiferromagnetic is False
+
+    def test_three_site_ferromagnetic_state_needs_bit_7(self):
+        assert self.triple_flags(0b10000001).ferromagnetic
+        assert self.triple_flags(0b10000000).ferromagnetic
+        assert self.triple_flags(0b01111111).ferromagnetic is False
+        assert self.triple_flags(0).ferromagnetic  # the empty state holds vacuously
+
+    def test_local_cylinders_follow_the_space_order(self):
+        # a bond over every site numbers its configurations as the space does
+        struct = HyperbondStructure(RADIX32, ((2, 1), (1,)))
+        assert struct.full_states == (0b111111, 0b111)
+        assert struct.local_cylinders == (tuple(1 << t for t in range(6)), RADIX32.value_masks[0])
+
+    def test_radix32_symmetry_reverses_the_local_index(self):
+        symmetric = base_from_json(radix32_base_file([[0, 0], [2, 1]]))
+        assert symmetric.atoms[0][0].states == (0b100001,)
+        assert predicates(symmetric).symmetric
+        assert not predicates(base_from_json(radix32_base_file([[1, 0]]))).symmetric
+
+    def test_states_range_from_empty_to_full(self):
+        struct = HyperbondStructure(RADIX32, ((1, 2),))
+        full = struct.full_states[0]
+        assert full == (1 << 6) - 1
+        for state in (0, full):
+            assert BondStateAssignment(struct, (state,)).states == (state,)
+        for state in (-1, full + 1):
+            with pytest.raises(InvalidParams, match=r"state of bond \[1, 2\] outside 0\.\.63"):
+                BondStateAssignment(struct, (state,))
+
+    def test_base_files_round_trip(self):
+        sp = SiteSpace((1, 2, 3), ((0, 1, 2), (0, 1), (0, 1, 2)))
+        structures = [
+            pair_struct(3),
+            HyperbondStructure(binary(3), ((1, 2, 3), (1, 3))),
+            HyperbondStructure(sp, ((3, 1, 2), (1, 3), (2,))),
+        ]
+        for struct in structures:
+            for seed in range(8):
+                base = random_base(struct, seed)
+                assert base_from_json(json.loads(dumps_canonical(base))) == base
+
+    def test_repeated_rows_collapse(self):
+        base = base_from_json(radix32_base_file([[2, 1], [0, 0], [0, 0]], RADIX32_FULL))
+        assert [eta.states for eta, _ in base.atoms] == [(0b100001,), (0b111111,)]
+        assert base_to_json(base)["atoms"][0]["states"] == [[[0, 0], [2, 1]]]
+
+    def test_unknown_symbol_is_a_usage_error(self, tmp_path, capsys):
+        build = ising_build(ising_edge(2))
+        obj = base_to_json(build.base)
+        obj["atoms"][0]["states"][0] = [[0, 0], [1, 2]]
+        measure, base = tmp_path / "m.json", tmp_path / "b.json"
+        measure.write_text(dumps_canonical(measure_to_json(build.measure)))
+        base.write_text(json.dumps(obj))
+        assert main(["rcr", "verify", str(measure), str(base)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bond [1, 2] has no local configuration [1, 2]\n"
+
+    @pytest.mark.parametrize("build, digest", PINNED_BASES.values(), ids=PINNED_BASES)
+    def test_base_file_bytes_pinned(self, build, digest):
+        # base-file bytes are part of the file format, which the state layout must not move
+        assert hashlib.sha256(dumps_canonical(build()).encode()).hexdigest() == digest
+
+
+def _base(struct, *states):
+    """A base of equally weighted atoms, one per state tuple."""
+    weight = F(1, len(states))
+    return RcrBase(struct, tuple((BondStateAssignment(struct, s), weight) for s in states))
+
+
+def _hyper(*bonds):
+    return HyperbondStructure(binary(2), bonds)
+
+
+def _ising(vertices, *edges):
+    return IsingSpec(vertices, tuple((u, v, F(2)) for u, v in edges))
+
+
+RCR_GUARDS = {
+    "empty-bond": (lambda: _hyper(()), InvalidParams, "nonempty"),
+    "repeated-site": (lambda: _hyper((1, 1)), InvalidParams, "distinct"),
+    "site-off-space": (lambda: _hyper((1, 3)), InvalidParams, "not in space"),
+    "repeated-bond": (lambda: _hyper((1, 2), (2, 1)), InvalidParams, "duplicate-free"),
+    "state-count": (lambda: _base(pair_struct(2), (DIAG, DIAG)), InvalidParams, "one state"),
+    "weights-short-of-1": (
+        lambda: RcrBase(pair_struct(2), ((BondStateAssignment(pair_struct(2), (DIAG,)), F(1, 2)),)),
+        InvalidParams,
+        "sum to exactly 1",
+    ),
+    "repeated-atom": (lambda: _base(pair_struct(2), (DIAG,), (DIAG,)), InvalidParams, "distinct"),
+    "atom-off-structure": (
+        lambda: RcrBase(pair_struct(2), _base(_hyper((1,)), (1,)).atoms),
+        SpaceMismatch,
+        "different structure",
+    ),
+    "compatible-off-space": (
+        lambda: compatible(_base(pair_struct(2), (DIAG,)).atoms[0][0], binary(3).config([0] * 3)),
+        SpaceMismatch,
+        "different spaces",
+    ),
+    "verify-off-space": (
+        lambda: verify_rcr(Measure.uniform(binary(3)), _base(pair_struct(2), (DIAG,))),
+        SpaceMismatch,
+        "different spaces",
+    ),
+    "empty-support": (
+        lambda: construct_uniform_symmetric_rcr(Event.empty(binary(2))),
+        PreconditionFailed,
+        "support is empty",
+    ),
+    "pairings-off-binary": (lambda: complete_pairing_base(RADIX32), NonBinaryAlphabet, "binary"),
+    "repeated-vertex": (lambda: _ising((1, 1)), InvalidParams, "vertices must be distinct"),
+    "self-loop": (lambda: _ising((1, 2), (1, 1)), InvalidParams, "self-loops"),
+    "edge-off-graph": (lambda: _ising((1, 2), (1, 3)), InvalidParams, "outside vertex set"),
+    "repeated-edge": (lambda: _ising((1, 2), (1, 2), (2, 1)), InvalidParams, "duplicate edge"),
+}
+
+
+@pytest.mark.parametrize("make, error, match", RCR_GUARDS.values(), ids=RCR_GUARDS)
+def test_rcr_guards(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
+
+
+def _edited_base_file(edit):
+    obj = radix32_base_file(RADIX32_FULL)
+    edit(obj["atoms"][0])
+    return lambda: base_from_json(obj)
+
+
+SERIALIZE_GUARDS = {
+    "state-count": (_edited_base_file(lambda atom: atom["states"].pop()), "one state per bond"),
+    "short-row": (_edited_base_file(lambda atom: atom["states"][0].append([0])), "no local"),
+    "unknown-symbol": (_edited_base_file(lambda atom: atom["states"][0].append([3, 0])), "no local"),
+    "config-symbol": (lambda: config_from_json(binary(2), [0, 2]), "symbol 2 not in alphabet"),
+    "config-length": (lambda: config_from_json(binary(2), [0]), "length does not match"),
+    "event-body": (
+        lambda: event_from_json({"sites": [1], "alphabets": [[0, 1]]}),
+        "needs 'configs' or 'mask_hex'",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, match", SERIALIZE_GUARDS.values(), ids=SERIALIZE_GUARDS)
+def test_serialize_guards(make, match):
+    with pytest.raises(InvalidParams, match=match):
+        make()
